@@ -656,6 +656,7 @@ def adaptive_replay_link(
                 post_sum += clr
                 post_count += 1
 
+    engine.flush_telemetry()
     if _spans._ENABLED:
         _metrics.add("adaptive.requests_replayed", n)
         _metrics.add("adaptive.drift_detections", 0)

@@ -28,8 +28,10 @@ Execution is the frontend's sharded data plane, open-loop:
   (the PR-7 backpressure contract, preserved under sharding);
 * admit latency lands in the ``service.admit_latency_ns``
   :class:`~repro.obs.sketch.QuantileSketch` (aggregate and per link),
-  merged across shards in shard-index order, from which each sweep
-  point reports p50/p99/p999.
+  flushed once per shard from the links' recorders and merged across
+  shards in shard-index order; each sweep point reports p50/p99/p999
+  of the window its own requests added, leaving the caller's
+  telemetry in place.
 
 ``runner drive`` is the CLI (:mod:`repro.service.frontend_cli`); CI's
 ``frontend-smoke`` job drives 100k requests across 4 links and gates
@@ -67,6 +69,7 @@ from repro.parallel.worker import (
 from repro.service.engine import REASON_SHED, AdmissionEngine
 from repro.service.frontend import ConsistentHashRing
 from repro.service.overload import OverloadPolicy
+from repro.service.telemetry import AGGREGATE_LATENCY
 from repro.service.tables import (
     EFFECTIVE_BANDWIDTH_METHOD,
     SERVICE_METHODS,
@@ -438,6 +441,10 @@ def _drive_shard(task: _ShardDriveTask, shard_index: int) -> ShardDriveStats:
                 != (occupancy_before < decision.admissible)
             ):
                 boundary_violations += 1
+        # Inside the timed region: publishing the links' recorders is
+        # part of the shard's work, so elapsed_seconds must count it.
+        for engine in engines:
+            engine.flush_telemetry()
     elapsed = time.perf_counter() - started
 
     if _spans._ENABLED:
@@ -476,10 +483,28 @@ def _empty_shard_stats(shard_index: int) -> ShardDriveStats:
     )
 
 
-def _sketch_quantiles(data: Optional[dict]) -> Dict[str, Optional[float]]:
-    if data is None or not data.get("count"):
+def _latency_snapshot() -> Optional[dict]:
+    """The aggregate admit-latency sketch as it stands (None if absent)."""
+    for data in _metrics.snapshot():
+        if data["type"] == "sketch" and data["name"] == AGGREGATE_LATENCY:
+            return data
+    return None
+
+
+def _window_quantiles(
+    start: Optional[dict], end: Optional[dict]
+) -> Dict[str, Optional[float]]:
+    """Quantiles of the latencies recorded between two snapshots.
+
+    The registry is cumulative (the caller's own telemetry stays put),
+    so one sweep point is the window between the snapshots taken
+    around it.
+    """
+    if end is None:
         return {f"p{q}": None for q in DRIVE_QUANTILES}
-    sketch = QuantileSketch.from_dict(data)
+    sketch = QuantileSketch.window(start, end)
+    if not sketch.count:
+        return {f"p{q}": None for q in DRIVE_QUANTILES}
     return {f"p{q}": sketch.quantile(q) for q in DRIVE_QUANTILES}
 
 
@@ -585,8 +610,7 @@ def drive(
     try:
         with _tracectx.start_trace():
             for rho in rho_grid:
-                _spans.reset_spans()
-                _metrics.reset_metrics()
+                latency_before = _latency_snapshot()
                 arrival_rate = derive_arrival_rate(
                     rho, admissible, mean_holding_time
                 )
@@ -681,11 +705,9 @@ def drive(
                     else _empty_shard_stats(i)
                     for i in range(n_shards)
                 )
-                snapshot = {
-                    d["name"]: d
-                    for d in _metrics.snapshot()
-                    if d["type"] == "sketch"
-                }
+                admit_latency_ns = _window_quantiles(
+                    latency_before, _latency_snapshot()
+                )
                 n_requests = sum(s.n_requests for s in shards)
                 points.append(
                     DrivePoint(
@@ -709,9 +731,7 @@ def drive(
                             if wall_seconds
                             else 0.0
                         ),
-                        admit_latency_ns=_sketch_quantiles(
-                            snapshot.get("service.admit_latency_ns")
-                        ),
+                        admit_latency_ns=admit_latency_ns,
                         shards=shards,
                     )
                 )

@@ -22,12 +22,17 @@ Two admission disciplines:
   serves heterogeneous mixes.
 
 Telemetry (when :mod:`repro.obs` is enabled): ``service.admitted`` /
-``service.blocked`` / ``service.released`` counters, a
+``service.blocked`` / ``service.shed`` / ``service.released`` /
+``service.fallback_decisions`` counters, a
 ``service.admit_latency_ns`` quantile sketch (aggregate and per
 link), a per-link ``service.occupancy.<link>`` sketch, plus the table
-cache's
-``service.table_hits`` / ``service.table_misses``.  Disabled, each
-admit pays a single boolean check.
+cache's ``service.table_hits`` / ``service.table_misses``.  Every
+admit is timed, but the request path only updates the link's
+:class:`~repro.service.telemetry.LinkRecorder` (plain counters, an
+occupancy map, a bounded latency buffer); :meth:`AdmissionEngine
+.flush_telemetry` publishes it to the registry in bulk, with the
+same resulting instruments and values.  Disabled, the request path
+pays one flag read per admit and per release.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from repro.models.base import TrafficModel
 from repro.obs import metrics as _metrics
 from repro.obs import spans as _spans
 from repro.service.overload import OverloadPolicy, OverloadState
+from repro.service.telemetry import LinkRecorder
 from repro.service.tables import (
     EFFECTIVE_BANDWIDTH_METHOD,
     SERVICE_METHODS,
@@ -105,6 +111,11 @@ class LinkState:
     admitted_bandwidth: float = 0.0
     #: Sum of admitted mean rates (cells/frame) — the carried load.
     admitted_mean_load: float = 0.0
+    #: Unflushed telemetry of this link (see :mod:`repro.service.telemetry`).
+    recorder: LinkRecorder = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.recorder = LinkRecorder(self.link_id)
 
     @property
     def occupancy(self) -> int:
@@ -158,6 +169,9 @@ class AdmissionEngine:
         # are kept strongly referenced so the ``id()`` keys stay valid.
         self._decision_keys: Dict[tuple, str] = {}
         self._fingerprints: Dict[int, str] = {}
+        # ``float(model.mean)`` is not free either (a superposed model
+        # re-sums its components), and it is fixed per model.
+        self._means: Dict[int, float] = {}
         self._key_refs: Dict[int, TrafficModel] = {}
 
     # -- topology ------------------------------------------------------------
@@ -215,8 +229,16 @@ class AdmissionEngine:
             self._key_refs[id(model)] = model
         return fingerprint
 
+    def _mean_for(self, model: TrafficModel) -> float:
+        mean = self._means.get(id(model))
+        if mean is None:
+            mean = float(model.mean)
+            self._means[id(model)] = mean
+            self._key_refs[id(model)] = model
+        return mean
+
     def invalidate_decision_caches(self) -> None:
-        """Drop every memoized decision key and model fingerprint.
+        """Drop every memoized decision key, model fingerprint and mean.
 
         The hot-path caches are keyed by ``id(model)`` and pinned by
         strong references, which is sound only while the engine's
@@ -232,6 +254,7 @@ class AdmissionEngine:
         """
         self._decision_keys.clear()
         self._fingerprints.clear()
+        self._means.clear()
         self._key_refs.clear()
 
     # -- the service surface -------------------------------------------------
@@ -272,10 +295,7 @@ class AdmissionEngine:
             # Shed before any table work: overload protection must not
             # cost a lookup per rejected request.
             if enabled:
-                _metrics.add("service.shed")
-                _metrics.observe_sketch(
-                    f"service.occupancy.{link_id}", link.occupancy
-                )
+                link.recorder.shed_at(link.occupancy)
             return AdmissionDecision(
                 admitted=False,
                 link_id=link_id,
@@ -338,7 +358,7 @@ class AdmissionEngine:
             if overload is not None:
                 overload.fallback_total += 1
             if enabled:
-                _metrics.add("service.fallback_decisions")
+                link.recorder.fallbacks += 1
 
         fingerprint = self._fingerprint_for(model)
         bandwidth = decision.effective_bandwidth
@@ -350,7 +370,9 @@ class AdmissionEngine:
             if admitted and self.policy == EFFECTIVE_BANDWIDTH_METHOD:
                 # Keep effective-bandwidth bookkeeping conservative:
                 # charge the peak allocation, symmetric on release.
-                bandwidth = float(model.mean) + float(model.std) * PEAK_SIGMA
+                bandwidth = (
+                    self._mean_for(model) + float(model.std) * PEAK_SIGMA
+                )
         elif self.policy == EFFECTIVE_BANDWIDTH_METHOD:
             admitted = (
                 link.admitted_bandwidth + bandwidth <= link.capacity
@@ -367,9 +389,10 @@ class AdmissionEngine:
                 link.class_counts.get(fingerprint, 0) < decision.admissible
             )
         if admitted:
+            mean = self._mean_for(model)
             link.connections[connection_id] = _Connection(
                 fingerprint=fingerprint,
-                mean=float(model.mean),
+                mean=mean,
                 effective_bandwidth=bandwidth,
             )
             link.class_counts[fingerprint] = (
@@ -377,23 +400,13 @@ class AdmissionEngine:
             )
             if bandwidth is not None:
                 link.admitted_bandwidth += bandwidth
-            link.admitted_mean_load += float(model.mean)
+            link.admitted_mean_load += mean
         if enabled:
-            _metrics.add(
-                "service.admitted" if admitted else "service.blocked"
-            )
-            latency_ns = time.perf_counter_ns() - started
-            # Tail-latency sketches: one aggregate, one per link (the
-            # obs sweep reads both to render latency-vs-rho tables).
-            _metrics.observe_sketch("service.admit_latency_ns", latency_ns)
-            _metrics.observe_sketch(
-                f"service.admit_latency_ns.{link_id}", latency_ns
-            )
             # Occupancy after the decision is deterministic for a
-            # given seed, so this sketch is part of the serial-vs-jobs
+            # given seed, so its sketch is part of the serial-vs-jobs
             # bit-identity contract (latency sketches are not).
-            _metrics.observe_sketch(
-                f"service.occupancy.{link_id}", link.occupancy
+            link.recorder.decided(
+                admitted, time.perf_counter_ns() - started, link.occupancy
             )
         return AdmissionDecision(
             admitted=admitted,
@@ -426,7 +439,19 @@ class AdmissionEngine:
             link.admitted_bandwidth -= connection.effective_bandwidth
         link.admitted_mean_load -= connection.mean
         if _spans._ENABLED:
-            _metrics.add("service.released")
+            link.recorder.released += 1
+
+    def flush_telemetry(self) -> None:
+        """Publish every link's recorded telemetry, in link order.
+
+        Then the table cache's hits since its last publish (a cache
+        shared by several engines publishes them once).  See
+        :mod:`repro.service.telemetry` for what is recorded and why
+        the registry ends in the per-request state.
+        """
+        for link in self._links.values():
+            link.recorder.flush()
+        self.tables.publish_hits()
 
     # -- exact state transport (journal snapshots) ---------------------------
 

@@ -394,8 +394,18 @@ class AdmissionFrontend:
             raise ParameterError(f"unknown link {link_id!r}")
         return shard.engines[link_id].occupancy(link_id)
 
+    def flush_telemetry(self) -> None:
+        """Publish every link's recorded telemetry, in link order."""
+        for link_id, shard in self._link_shard.items():
+            shard.engines[link_id].flush_telemetry()
+
     def stats(self) -> FrontendStats:
-        """Aggregate decision counters across every shard."""
+        """Aggregate decision counters across every shard.
+
+        Also a telemetry flush point: the registry catches up with
+        every decision made so far.
+        """
+        self.flush_telemetry()
         return FrontendStats(
             n_shards=len(self._shards),
             n_links=len(self._link_shard),
@@ -438,6 +448,8 @@ class AdmissionFrontend:
         self.table_text = table_text
         self._table_handle = new_handle
         for shard in self._shards:
+            # The retiring cache's hits would otherwise go unpublished.
+            shard.tables.publish_hits()
             tables = DecisionTableCache(persist=False)
             tables.load_text(self._snapshot_text())
             shard.tables = tables
@@ -450,7 +462,8 @@ class AdmissionFrontend:
         return self.generation
 
     def close(self) -> None:
-        """Unlink the published table snapshot (idempotent)."""
+        """Flush telemetry and unlink the table snapshot (idempotent)."""
+        self.flush_telemetry()
         handle, self._table_handle = self._table_handle, None
         if handle is not None:
             handle.unlink()

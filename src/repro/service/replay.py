@@ -548,6 +548,9 @@ def replay_link(
         if journal is not None:
             journal.close()
 
+    # A crashed attempt never gets here: its unflushed telemetry is
+    # dropped, as a failed pool attempt's captured telemetry is.
+    engine.flush_telemetry()
     if _spans._ENABLED:
         _metrics.add("service.requests_replayed", workload.n_requests)
         # add(0) still registers the instrument, so serial and

@@ -265,6 +265,8 @@ class DecisionTableCache:
         self._persisted: "OrderedDict[str, Decision]" = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
+        #: ``hits`` as of the last :meth:`publish_hits`.
+        self._published_hits = 0
         self.misses = 0
         self.loaded = 0
         #: Damaged lines dropped (not fatal) during the last load.
@@ -346,7 +348,8 @@ class DecisionTableCache:
         Callers that serve many requests against a fixed operating
         point (the admission engine) pass the precomputed ``key`` to
         skip re-serializing the fingerprint and QoS floats per
-        request; hit/miss accounting is identical either way.
+        request; hit/miss accounting is identical either way.  Hits
+        reach telemetry in bulk through :meth:`publish_hits`.
         """
         if method not in SERVICE_METHODS:
             raise ParameterError(
@@ -360,8 +363,6 @@ class DecisionTableCache:
             if decision is not None:
                 self._entries.move_to_end(key)
                 self.hits += 1
-                if _spans._ENABLED:
-                    _metrics.add("service.table_hits")
                 return decision
         decision = _compute_decision(key, model, link_capacity, qos, method)
         with self._lock:
@@ -374,6 +375,20 @@ class DecisionTableCache:
         if self.persist and self.path is not None:
             self._persist(decision)
         return decision
+
+    def publish_hits(self) -> None:
+        """Add the hits since the last publish to ``service.table_hits``.
+
+        The hot path only counts :attr:`hits`; telemetry takes them
+        from there once per flush instead of one registry add per
+        lookup.  Nothing is published while telemetry is disabled, but
+        the watermark advances either way.
+        """
+        with self._lock:
+            fresh = self.hits - self._published_hits
+            self._published_hits = self.hits
+        if fresh:
+            _metrics.add("service.table_hits", fresh)
 
     def peek(
         self,
@@ -454,10 +469,13 @@ class DecisionTableCache:
         """Restore :meth:`snapshot_state` output (LRU order included).
 
         Restores in-memory state only — persistence is untouched, so a
-        read-only worker recovering from a journal never writes.
+        read-only worker recovering from a journal never writes.  The
+        restored hits count as published: the attempt that made them
+        owned their telemetry.
         """
         with self._lock:
             self.hits = int(state["hits"])
+            self._published_hits = self.hits
             self.misses = int(state["misses"])
             self._entries = OrderedDict(
                 (d["key"], Decision.from_dict(d))

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ParameterError
 from repro.obs.metrics import MetricsRegistry
@@ -106,6 +108,65 @@ class TestIngestion:
     def test_invalid_accuracy_raises(self):
         with pytest.raises(ParameterError, match="relative_accuracy"):
             QuantileSketch("x", 1.0)
+
+
+def _bucket_bound(i, accuracy=DEFAULT_RELATIVE_ACCURACY):
+    """``gamma**i``: the exact upper bound of bucket ``i``."""
+    return ((1.0 + accuracy) / (1.0 - accuracy)) ** i
+
+
+_BUCKETS = st.integers(min_value=-300, max_value=1500)
+
+#: Values that stress bucketing: zeros, small integers (occupancies),
+#: nanosecond-scale latencies, exact bucket bounds ``gamma**i`` and the
+#: floats right beside them.
+_SKETCH_VALUES = st.one_of(
+    st.just(0.0),
+    st.integers(min_value=0, max_value=200).map(float),
+    st.floats(min_value=1e-3, max_value=1e9),
+    _BUCKETS.map(_bucket_bound),
+    _BUCKETS.map(lambda i: math.nextafter(_bucket_bound(i), 0.0)),
+    _BUCKETS.map(lambda i: math.nextafter(_bucket_bound(i), math.inf)),
+)
+
+
+class TestObserveCounts:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(_SKETCH_VALUES, max_size=5),
+        st.dictionaries(
+            _SKETCH_VALUES, st.integers(min_value=0, max_value=50),
+            max_size=40,
+        ),
+    )
+    def test_same_state_as_repeated_observe(self, prior, counts):
+        batched = QuantileSketch("x")
+        repeated = QuantileSketch("x")
+        for value in prior:
+            batched.observe(value)
+            repeated.observe(value)
+        batched.observe_counts(counts)
+        for value, n in counts.items():
+            for _ in range(n):
+                repeated.observe(value)
+        assert batched.to_json() == repeated.to_json()
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, -math.inf])
+    def test_bad_value_raises_and_leaves_sketch_unchanged(self, bad):
+        sketch = QuantileSketch("x")
+        sketch.observe_counts({4.0: 3})
+        before = sketch.to_json()
+        with pytest.raises(ParameterError, match="finite and >= 0"):
+            sketch.observe_counts({1.0: 2, bad: 1, 9.0: 4})
+        assert sketch.to_json() == before
+
+    def test_negative_count_raises_and_leaves_sketch_unchanged(self):
+        sketch = QuantileSketch("x")
+        sketch.observe_counts({4.0: 3})
+        before = sketch.to_json()
+        with pytest.raises(ParameterError, match="counts must be >= 0"):
+            sketch.observe_counts({1.0: 2, 9.0: -1})
+        assert sketch.to_json() == before
 
 
 class TestMergeByteIdentity:

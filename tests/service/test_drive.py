@@ -21,6 +21,7 @@ from repro.service.drive import (
     derive_arrival_rate,
     drive,
 )
+from repro.service.overload import OverloadPolicy
 from repro.service.replay import replay_link
 from repro.service.workload import ConnectionClass, WorkloadSpec
 from repro.utils.rng import spawn_generators
@@ -239,6 +240,118 @@ class TestDriveParallel:
         assert set(pooled.points[0].admit_latency_ns) == {
             f"p{q}" for q in DRIVE_QUANTILES
         }
+
+
+def _deterministic_telemetry():
+    """Canonical JSON of the counters and occupancy sketches."""
+    import json
+
+    from repro import obs
+
+    return json.dumps(
+        [
+            d
+            for d in obs.metrics.snapshot()
+            if d["type"] == "counter"
+            or (
+                d["type"] == "sketch"
+                and d["name"].startswith("service.occupancy.")
+            )
+        ],
+        sort_keys=True,
+    )
+
+
+class TestDriveTelemetry:
+    """The per-link recorders publish the same registry however the
+    links are sharded or dispatched, and drive() leaves the caller's
+    own telemetry alone."""
+
+    @pytest.fixture
+    def telemetry(self):
+        from repro import obs
+
+        obs.reset()
+        obs.enable()
+        yield obs
+        obs.disable()
+        obs.reset()
+
+    def _sweep(self, classes, qos, **kwargs):
+        return drive(
+            classes,
+            n_links=3,
+            capacity=CAPACITY,
+            qos=qos,
+            rho_grid=(0.8, 0.99),
+            requests_per_link=300,
+            seed=SEED,
+            # Slow enough that the busiest points shed requests.
+            overload=OverloadPolicy(max_queue_depth=2, decision_seconds=4.0),
+            **kwargs,
+        )
+
+    def test_independent_of_jobs_and_shards(self, telemetry, classes, qos):
+        runs = {}
+        for label, kwargs in (
+            ("serial-1-shard", dict(n_shards=1)),
+            ("serial-2-shards", dict(n_shards=2)),
+            ("jobs2-2-shards", dict(n_shards=2, jobs=2)),
+        ):
+            telemetry.reset()
+            report = self._sweep(classes, qos, **kwargs)
+            runs[label] = _deterministic_telemetry()
+        assert runs["serial-1-shard"] == runs["serial-2-shards"]
+        assert runs["serial-1-shard"] == runs["jobs2-2-shards"]
+        assert sum(p.shed for p in report.points) > 0
+
+    def test_table_hits_equal_lookups_made(self, telemetry, classes, qos):
+        report = self._sweep(classes, qos, n_shards=2)
+        counters = {
+            d["name"]: d["value"]
+            for d in telemetry.metrics.snapshot()
+            if d["type"] == "counter"
+        }
+        # One snapshot-served lookup per decision that was not shed.
+        lookups = sum(p.admitted + p.blocked for p in report.points)
+        assert counters["service.table_hits"] == lookups
+        assert counters["service.admitted"] == sum(
+            p.admitted for p in report.points
+        )
+        assert counters["service.shed"] == sum(
+            p.shed for p in report.points
+        )
+        sketches = {
+            d["name"]: d
+            for d in telemetry.metrics.snapshot()
+            if d["type"] == "sketch"
+        }
+        assert sketches["service.admit_latency_ns"]["count"] == lookups
+        assert sum(
+            sketches[f"service.occupancy.link-{i}"]["count"]
+            for i in range(3)
+        ) == report.n_requests
+
+    def test_keeps_caller_telemetry(self, telemetry, classes, qos):
+        telemetry.metrics.add("caller.counter", 5)
+        with telemetry.span("caller.span"):
+            pass
+        report = self._sweep(classes, qos)
+        counters = {
+            d["name"]: d["value"]
+            for d in telemetry.metrics.snapshot()
+            if d["type"] == "counter"
+        }
+        assert counters["caller.counter"] == 5
+        names = [r.name for r in telemetry.records()]
+        assert "caller.span" in names
+        # Every point's spans survive, not just the last point's.
+        assert names.count("service.frontend.drive") == len(report.points)
+        for point in report.points:
+            assert all(
+                v is not None and v > 0
+                for v in point.admit_latency_ns.values()
+            )
 
 
 class TestDriveRegimePlan:

@@ -196,3 +196,32 @@ class TestRecoveryCacheInvalidation:
         engine.invalidate_decision_caches()
         engine.invalidate_decision_caches()
         assert engine.admit("oc3", dar1_fit, "c0").admitted
+
+
+class TestModelMeanMemo:
+    def test_carried_load_is_the_model_mean_bit_for_bit(self, qos):
+        from repro.service.cli import build_class
+
+        # A superposed model re-sums its components on every read.
+        video = build_class("video").model
+        engine = AdmissionEngine(policy="bahadur-rao")
+        link = engine.add_link("oc3", 30 * 538.0, qos)
+        expected = 0.0
+        for i in range(5):
+            assert engine.admit("oc3", video, f"c{i}").admitted
+            expected += float(video.mean)
+        assert link.admitted_mean_load == expected
+        assert all(
+            c.mean == float(video.mean) for c in link.connections.values()
+        )
+        assert engine._means == {id(video): float(video.mean)}
+
+    def test_invalidation_drops_the_memo(self, engine, dar1_fit):
+        engine.admit("oc3", dar1_fit, "c0")
+        engine._means[id(dar1_fit)] = -1.0
+        engine.invalidate_decision_caches()
+        assert not engine._means
+        engine.admit("oc3", dar1_fit, "c1")
+        assert engine.link("oc3").connections["c1"].mean == float(
+            dar1_fit.mean
+        )

@@ -254,6 +254,7 @@ class TestTelemetry:
                 counters["service.requests_replayed"] == summary.n_requests
             )
             assert counters["service.table_misses"] == summary.cache_misses
+            assert counters["service.table_hits"] == summary.cache_hits
             names = [s.name for s in obs.records()]
             assert "service.replay" in names
             assert "service.replay.link" in names
