@@ -3,6 +3,8 @@
 Genuine timing benchmarks (multiple rounds): the rate-function
 infimum search, a full B-R curve, and the traffic samplers.  These
 are the knobs that decide whether paper-scale simulation is feasible.
+The DAR(p) sampler's rounds also land in ``timings.jsonl`` as a
+``darp_sampling`` row.
 
 The replication-scaling benchmarks time the same replicated-CLR batch
 serially and across the shared warm worker pool; each run appends a
@@ -49,6 +51,40 @@ def test_dar_sampling_throughput(benchmark):
     model = make_s(1, 0.975)
     path = benchmark(model.sample_aggregate, 20_000, 30, 7)
     assert path.shape == (20_000,)
+
+
+# The clr workload's Markov curve: one replication of the DAR(3) fit.
+# Bumping the numbers MUST bump the label (see _SCALING_LABEL below).
+_DARP_FRAMES = 8_000
+_DARP_SOURCES = 30
+_DARP_ROUNDS = 7
+_DARP_LABEL = "s3x8000x30"
+
+
+def test_darp_sampling_throughput(benchmark):
+    """DAR(3) aggregate sampling, the p >= 2 path the DAR(1) row above
+    never reaches; appends a ``darp_sampling`` row to the ledger."""
+    model = make_s(3, 0.975)
+    path = benchmark.pedantic(
+        model.sample_aggregate,
+        args=(_DARP_FRAMES, _DARP_SOURCES, 7),
+        rounds=_DARP_ROUNDS,
+        iterations=1,
+        warmup_rounds=1,
+    )
+    assert path.shape == (_DARP_FRAMES,)
+    mean_s = benchmark.stats.stats.mean
+    _append_timing(
+        "darp_sampling",
+        _DARP_LABEL,
+        benchmark,
+        rounds=_DARP_ROUNDS,
+        extras={
+            "frames": _DARP_FRAMES,
+            "frames_per_s": _DARP_FRAMES / mean_s if mean_s > 0 else None,
+            "cpu_count": os.cpu_count(),
+        },
+    )
 
 
 def test_fbndp_sampling_throughput(benchmark, z_model):

@@ -209,8 +209,6 @@ class DriftDetector:
         self._since_baseline += 1
         self.moments.push(value)
         ph_fired = self.page_hinkley.update(value)
-        if _spans._ENABLED:
-            _metrics.add("adaptive.samples_observed")
         if self._since_baseline < self.window or not self.moments.is_full:
             return None
 

@@ -659,6 +659,7 @@ def adaptive_replay_link(
     engine.flush_telemetry()
     if _spans._ENABLED:
         _metrics.add("adaptive.requests_replayed", n)
+        _metrics.add("adaptive.samples_observed", detector.samples_seen)
         _metrics.add("adaptive.drift_detections", 0)
 
     bucket_means = np.zeros(n_buckets)

@@ -213,6 +213,28 @@ class TestParallelByteIdentity:
         )
 
 
+class TestTelemetry:
+    @pytest.mark.parametrize("jobs", [None, 2])
+    def test_samples_observed_equals_samples_fed(self, jobs):
+        from repro import obs
+
+        obs.enable()
+        try:
+            obs.reset()
+            summary = _demo_replay(adapt=True, n_links=2, jobs=jobs)
+            counters = {
+                m["name"]: m["value"]
+                for m in obs.metrics.snapshot()
+                if m["type"] == "counter"
+            }
+        finally:
+            obs.reset()
+            obs.disable()
+        fed = sum(link.n_requests for link in summary.links)
+        assert fed == 2 * DEMO_SPEC.n_requests
+        assert counters["adaptive.samples_observed"] == fed
+
+
 class TestLinkStatsRoundTrip:
     def test_from_array_inverts_as_array(self):
         stats = _demo_replay(adapt=True).links[0]
