@@ -1,4 +1,4 @@
-"""Cost of the adaptive hot path: table rebuild and atomic swap.
+"""Cost of the adaptive path: replay throughput, rebuild and swap.
 
 The adaptation loop's two potentially expensive pieces run off the
 admission hot path, but their latency bounds how long a link keeps
@@ -11,7 +11,14 @@ shared ``timings.jsonl`` ledger and gated by ``obs compare``:
 * ``adaptive_swap`` — loading the rebuilt image into a live
   ``DecisionTableCache`` plus invalidating the engine's decision
   caches (what happens between two requests at swap time).
+
+A third row, ``adaptive_replay_throughput``, times the whole
+per-request loop of ``adaptive_replay_link``: one link of the demo's
+conference-to-video plan, serial, telemetry off, requests/second over
+five rounds, with the host's core count on the row.
 """
+
+import os
 
 import pytest
 
@@ -19,11 +26,13 @@ from conftest import RESULTS_DIR, TIMINGS_PATH
 
 from repro.obs.timings import append_timing_row, percentiles_from_rounds
 
-from repro.adaptive.recompute import rebuild_table_text
+from repro.adaptive.nonstationary import parse_regime_plan
+from repro.adaptive.recompute import adaptive_replay_link, rebuild_table_text
 from repro.atm.qos import QoSRequirement
 from repro.service.cli import build_class
 from repro.service.engine import AdmissionEngine
 from repro.service.tables import DecisionTableCache
+from repro.service.workload import WorkloadSpec
 from repro.utils.units import mbps_to_cells_per_frame
 
 CAPACITY = mbps_to_cells_per_frame(155.52)
@@ -31,6 +40,10 @@ QOS = QoSRequirement(max_delay_seconds=0.020, max_clr=1e-6)
 DECLARED = (build_class("conference"),)
 ESTIMATED = build_class("video").model
 ROUNDS = 5
+#: One link of the CI drift-smoke demo: 40 Erlangs at 30 s holding,
+#: the true traffic switching from conference to video half-way.
+REPLAY_REQUESTS = 20_000
+REPLAY_PLAN = "conference@0,video@10000"
 
 
 def _record(experiment, stats, extras):
@@ -93,3 +106,48 @@ def test_adaptive_swap(benchmark):
     stats = benchmark.stats.stats
     print(f"\nadaptive swap: {stats.mean * 1e6:.1f}us per swap")
     _record("adaptive_swap", stats, {"entries": len(text.splitlines())})
+
+
+def test_adaptive_replay_throughput(benchmark):
+    spec = WorkloadSpec(
+        n_requests=REPLAY_REQUESTS,
+        arrival_rate=40.0 / 30.0,
+        mean_holding_time=30.0,
+    )
+    plan = parse_regime_plan(REPLAY_PLAN)
+    candidates = DECLARED + (build_class("video"),)
+
+    def replay():
+        return adaptive_replay_link(
+            spec,
+            DECLARED,
+            plan,
+            candidates,
+            capacity=CAPACITY,
+            qos=QOS,
+            policy="bahadur-rao",
+            rng=20260806,
+        )
+
+    stats_link = benchmark.pedantic(
+        replay, rounds=ROUNDS, iterations=1, warmup_rounds=1
+    )
+    assert stats_link.swaps == 1
+    assert stats_link.boundary_violations == 0
+    stats = benchmark.stats.stats
+    requests_per_s = stats_link.n_requests / stats.mean
+    print(
+        f"\nadaptive replay_link: {stats_link.n_requests} requests in "
+        f"{stats.mean:.3f}s (mean of {ROUNDS}) = {requests_per_s:,.0f} req/s"
+    )
+    _record(
+        "adaptive_replay_throughput",
+        stats,
+        {
+            "scale": f"link1x{REPLAY_REQUESTS}:{REPLAY_PLAN}",
+            "requests": stats_link.n_requests,
+            "requests_per_s": requests_per_s,
+            "telemetry": False,
+            "cpu_count": os.cpu_count(),
+        },
+    )

@@ -82,12 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
         "bit-identical to --jobs 1 (default 1)",
     )
     parser.add_argument(
-        "--pool",
-        choices=("warm", "spawn"),
-        default=None,
-        help="worker-pool discipline for --jobs > 1 (default warm)",
-    )
-    parser.add_argument(
         "--seed",
         type=int,
         default=20260806,
@@ -408,7 +402,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             recompute_lag=args.recompute_lag,
             n_buckets=args.buckets,
             jobs=args.jobs,
-            pool=args.pool,
         )
         wall = time.perf_counter() - started
     except ReproError as exc:

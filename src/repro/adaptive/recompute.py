@@ -12,10 +12,9 @@ loop:
    link's observation stream;
 2. on drift, the estimated marginal statistics are matched against a
    candidate-model library (:func:`match_model`) and the affected
-   table entries are rebuilt **off the hot path** — inline in the
-   replay shard (where determinism is king) or on the warm worker
-   pool via :class:`RecomputeEngine` (where the admission frontend
-   must keep serving);
+   table entries are rebuilt **off the hot path** by
+   :class:`RecomputeEngine` — inline in the replay shard, between two
+   requests, where determinism is king;
 3. the rebuilt entries are published by *atomic swap*: one
    ``load_text`` into the live cache (last-write-wins per key), one
    hot-path invalidation, one generation increment.  No request ever
@@ -38,7 +37,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,14 +54,11 @@ from repro.obs import metrics as _metrics
 from repro.obs import spans as _spans
 from repro.obs.spans import span
 from repro.parallel.backends import Backend, resolve_backend
-from repro.parallel.worker import (
-    WorkerPayload,
-    execute_payload,
-    merge_result_telemetry,
-)
+from repro.parallel.worker import WorkerPayload
 from repro.service.engine import AdmissionEngine
+from repro.service.kernel import LinkLane
+from repro.service.supervision import FAIL_FAST, ShardSupervisor
 from repro.service.tables import (
-    EFFECTIVE_BANDWIDTH_METHOD,
     DecisionTableCache,
     _compute_decision,
     decision_key,
@@ -170,46 +166,15 @@ def rebuild_table_text(
     return "".join(lines)
 
 
-@dataclass(frozen=True, eq=False)
-class _RebuildTask:
-    """Picklable table rebuild, for the warm worker pool.
-
-    The resulting JSONL text ships back through the float-array
-    transport every backend already speaks: UTF-8 bytes widened to
-    float64 (``health_check=False`` — the payload is text, not a
-    simulation estimate).
-    """
-
-    declared: Tuple[ConnectionClass, ...]
-    estimated_model: object
-    capacity: float
-    qos: QoSRequirement
-    methods: Tuple[str, ...]
-
-    def __call__(self, index: int, generator):
-        text = rebuild_table_text(
-            self.declared,
-            self.estimated_model,
-            self.capacity,
-            self.qos,
-            self.methods,
-        )
-        encoded = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
-        return encoded.astype(np.float64), float(encoded.shape[0])
-
-
 class RecomputeEngine:
     """Rebuilds decision tables off the hot path and counts the work.
 
-    ``backend=None`` rebuilds inline (the deterministic replay path);
-    with a backend the rebuild runs on the warm worker pool so a live
-    frontend keeps serving admissions at full rate while the offline
-    inversions grind.  Either way the product is a table *image* —
-    the caller performs the atomic swap.
+    The rebuild runs inline, between two requests of the replay
+    clock (where determinism is king); the product is a table
+    *image* — the caller performs the atomic swap.
     """
 
-    def __init__(self, *, backend: Optional[Backend] = None):
-        self.backend = backend
+    def __init__(self):
         self.rebuilds = 0
 
     def rebuild(
@@ -225,34 +190,9 @@ class RecomputeEngine:
             self.rebuilds += 1
             if _spans._ENABLED:
                 _metrics.add("adaptive.recomputes")
-            if self.backend is None:
-                return rebuild_table_text(
-                    declared, estimated_model, capacity, qos, methods
-                )
-            task = _RebuildTask(
-                declared=tuple(declared),
-                estimated_model=estimated_model,
-                capacity=float(capacity),
-                qos=qos,
-                methods=tuple(methods),
+            return rebuild_table_text(
+                declared, estimated_model, capacity, qos, methods
             )
-            payload = WorkerPayload(
-                index=0,
-                attempt=0,
-                task=task,
-                generator=np.random.default_rng(0),
-                label="adaptive-rebuild",
-                telemetry=False,
-                health_check=False,
-            )
-            with self.backend.session() as session:
-                session.submit(payload)
-                result = session.next_completed()
-            if result.failed:
-                raise result.error
-            return bytes(
-                np.asarray(result.lost, dtype=np.float64).astype(np.uint8)
-            ).decode("utf-8")
 
 
 @dataclass(frozen=True)
@@ -471,9 +411,10 @@ def adaptive_replay_link(
 ) -> AdaptiveLinkStats:
     """Replay one link's nonstationary workload, adapting (or not).
 
-    The event loop mirrors :func:`repro.service.replay.replay_link`
+    Each request is one :meth:`~repro.service.kernel.LinkLane.step`
     (departure heap, carried-load integral, per-request boundary
-    check) with three additions:
+    check — the step :func:`repro.service.replay.replay_link` runs
+    too) with three additions around it:
 
     * every request's *observation* feeds the link's
       :class:`~repro.adaptive.drift.DriftDetector`;
@@ -491,8 +432,6 @@ def adaptive_replay_link(
     Everything is a pure function of the seeded stream, so a parallel
     run pools byte-identical per-link vectors.
     """
-    import heapq
-
     check_integer(n_buckets, "n_buckets", minimum=1)
     check_integer(recompute_lag, "recompute_lag", minimum=0)
     check_positive(capacity, "capacity")
@@ -509,12 +448,12 @@ def adaptive_replay_link(
         spec, declared, plan, candidates, rng
     )
     workload = realization.workload
-    observations = realization.observations
-    true_indices = realization.true_indices
+    lane = LinkLane(engine, link_id, workload, [c.model for c in declared])
+    observations = realization.observations.tolist()
+    true_indices = realization.true_indices.tolist()
 
     boundary = tables.lookup(declared[0].model, capacity, qos, policy)
     initial_admissible = boundary.admissible
-    count_policy = policy != EFFECTIVE_BANDWIDTH_METHOD
 
     detector = DriftDetector(
         link_id,
@@ -523,23 +462,12 @@ def adaptive_replay_link(
         threshold_sigmas=drift_threshold,
     )
     recompute = RecomputeEngine()
-
-    arrivals = workload.arrival_times
-    holdings = workload.holding_times
-    labels = workload.class_indices
-    models = [c.model for c in declared]
     n = workload.n_requests
 
     switch_points = plan.switch_points(n)
     last_switch = switch_points[-1] if switch_points else 0
 
-    admitted = 0
-    blocked = 0
     dropped = 0
-    peak_occupancy = 0
-    boundary_violations = 0
-    carried_load_seconds = 0.0
-    last_event_time = 0.0
     generation = 0
     swaps = 0
     swap_request_index = -1
@@ -554,12 +482,7 @@ def adaptive_replay_link(
     post_sum = 0.0
     post_count = 0
     clr_memo: Dict[Tuple[int, int], float] = {}
-
-    departures: List[Tuple[float, str]] = []
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    admit = engine.admit
-    release = engine.release
+    step = lane.step
 
     with span(
         "adaptive.replay.link",
@@ -593,34 +516,9 @@ def adaptive_replay_link(
                 final_admissible = boundary.admissible
                 pending_swap = None
 
-            now = float(arrivals[i])
-            while departures and departures[0][0] <= now:
-                departed_at, connection_id = heappop(departures)
-                carried_load_seconds += link.admitted_mean_load * (
-                    departed_at - last_event_time
-                )
-                last_event_time = departed_at
-                release(link_id, connection_id)
-            carried_load_seconds += link.admitted_mean_load * (
-                now - last_event_time
-            )
-            last_event_time = now
+            step(i)
 
-            occupancy_before = link.occupancy
-            decision = admit(link_id, models[labels[i]], f"c{i}")
-            if decision.admitted:
-                admitted += 1
-                if decision.occupancy > peak_occupancy:
-                    peak_occupancy = decision.occupancy
-                heappush(departures, (now + float(holdings[i]), f"c{i}"))
-            else:
-                blocked += 1
-            if count_policy and decision.admitted != (
-                occupancy_before < decision.admissible
-            ):
-                boundary_violations += 1
-
-            event = detector.update(float(observations[i]))
+            event = detector.update(observations[i])
             if event is not None:
                 if first_detection_index < 0:
                     first_detection_index = event.sample_index
@@ -639,12 +537,14 @@ def adaptive_replay_link(
                     ):
                         pending_swap = (i + 1 + recompute_lag, estimated)
 
-            true_model = candidates[int(true_indices[i])].model
+            true_index = true_indices[i]
             occupancy = link.occupancy
-            memo_key = (int(true_indices[i]), occupancy)
+            memo_key = (true_index, occupancy)
             clr = clr_memo.get(memo_key)
             if clr is None:
-                clr = observed_clr(true_model, capacity, qos, occupancy)
+                clr = observed_clr(
+                    candidates[true_index].model, capacity, qos, occupancy
+                )
                 clr_memo[memo_key] = clr
             bucket = i * n_buckets // n
             bucket_sums[bucket] += clr
@@ -668,12 +568,12 @@ def adaptive_replay_link(
     return AdaptiveLinkStats(
         link_index=link_index,
         n_requests=n,
-        admitted=admitted,
-        blocked=blocked,
-        peak_occupancy=peak_occupancy,
-        boundary_violations=boundary_violations,
+        admitted=lane.admitted,
+        blocked=lane.blocked,
+        peak_occupancy=lane.peak_occupancy,
+        boundary_violations=lane.boundary_violations,
         dropped=dropped,
-        carried_load_seconds=carried_load_seconds,
+        carried_load_seconds=lane.carried_load_seconds,
         elapsed_seconds=workload.horizon_seconds,
         cache_hits=tables.hits,
         cache_misses=tables.misses,
@@ -748,7 +648,6 @@ def adaptive_replay(
     n_buckets: int = 20,
     backend: Optional[Backend] = None,
     jobs: Optional[int] = None,
-    pool: Optional[str] = None,
     table_text: Optional[str] = None,
 ) -> AdaptiveSummary:
     """Replay the nonstationary workload on every link and pool.
@@ -759,7 +658,7 @@ def adaptive_replay(
     """
     n_links = check_integer(n_links, "n_links", minimum=1)
     qos = qos if qos is not None else QoSRequirement()
-    exec_backend = resolve_backend(backend, jobs, pool)
+    exec_backend = resolve_backend(backend, jobs)
     task = _AdaptiveLinkTask(
         spec=spec,
         declared=tuple(declared),
@@ -777,19 +676,18 @@ def adaptive_replay(
     )
     telemetry = _spans.is_enabled()
     generators = spawn_generators(rng, n_links)
-    results: List = [None] * n_links
-    payloads = [
-        WorkerPayload(
-            index=i,
-            attempt=0,
+
+    def payload_factory(index: int, attempt: int) -> WorkerPayload:
+        return WorkerPayload(
+            index=index,
+            attempt=attempt,
             task=task,
-            generator=generators[i],
-            label=f"adaptive-link-{i}",
+            generator=generators[index],
+            label=f"adaptive-link-{index}",
             telemetry=telemetry,
             health_check=False,
         )
-        for i in range(n_links)
-    ]
+
     with span(
         "adaptive.replay",
         links=n_links,
@@ -797,25 +695,9 @@ def adaptive_replay(
         adapt=adapt,
         jobs=1 if exec_backend is None else exec_backend.jobs,
     ):
-        if exec_backend is None:
-            for payload in payloads:
-                result = execute_payload(payload)
-                if result.failed:
-                    raise result.error
-                results[result.index] = result
-        else:
-            with exec_backend.session() as session:
-                for payload in payloads:
-                    session.submit(payload)
-                while session.pending:
-                    result = session.next_completed()
-                    if result.failed:
-                        raise result.error
-                    results[result.index] = result
-            # Telemetry merges in link-index order, not completion
-            # order (canonical-JSON bit-identity).
-            for result in results:
-                merge_result_telemetry(result)
+        results = ShardSupervisor(
+            payload_factory, n_links, backend=exec_backend, policy=FAIL_FAST
+        ).run()
     links = [
         AdaptiveLinkStats.from_array(i, results[i].lost, n_buckets)
         for i in range(n_links)

@@ -20,10 +20,9 @@ writes one ``<experiment>.jsonl`` trace per experiment into DIR (see
 ``--jobs N`` (or ``REPRO_JOBS=N``) fans the replicated simulations of
 each experiment out across ``N`` worker processes — results are
 bit-identical to serial runs on the same seed, only faster (see
-``docs/PERFORMANCE.md``).  The default is 1 (serial).  ``--pool``
-picks the worker discipline (persistent ``warm`` workers by default,
-``spawn`` for per-run isolation; also ``REPRO_POOL``) and ``--batch``
-overrides how many replications each worker task carries.
+``docs/PERFORMANCE.md``).  The default is 1 (serial); ``N > 1`` runs
+on the shared persistent warm pool.  ``--batch`` overrides how many
+replications each worker task carries.
 
 Long batches are supervised by :mod:`repro.resilience` when any of
 ``--deadline`` / ``--max-retries`` / ``--checkpoint-dir`` is given:
@@ -88,12 +87,11 @@ def _resolve_jobs(
     return jobs
 
 
-def _build_backend(jobs: int, pool: Optional[str]) -> Optional[Backend]:
-    """None for serial; otherwise the shared warm pool (default) or a
-    fresh spawn-per-run pool when ``--pool spawn`` asks for one."""
+def _build_backend(jobs: int) -> Optional[Backend]:
+    """None for serial; otherwise the shared warm pool."""
     if jobs <= 1:
         return None
-    return resolve_backend(jobs=jobs, pool=pool)
+    return resolve_backend(jobs=jobs)
 
 
 def _build_policy(args: argparse.Namespace) -> Optional[ResiliencePolicy]:
@@ -228,15 +226,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "serial runs (see docs/PERFORMANCE.md)",
     )
     parser.add_argument(
-        "--pool",
-        choices=("warm", "spawn"),
-        default=None,
-        help="worker-pool discipline for --jobs > 1: 'warm' (default; "
-        "persistent workers reused across simulations, also "
-        "$REPRO_POOL) or 'spawn' (fresh processes per run, maximum "
-        "isolation)",
-    )
-    parser.add_argument(
         "--batch",
         type=int,
         metavar="R",
@@ -269,11 +258,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.batch is not None and args.batch < 1:
         parser.error(f"--batch must be >= 1, got {args.batch}")
 
-    pool = args.pool or os.environ.get("REPRO_POOL", "").strip() or None
-    if pool not in (None, "warm", "spawn"):
-        parser.error(f"REPRO_POOL must be 'warm' or 'spawn', got {pool!r}")
     policy = _build_policy(args)
-    backend = _build_backend(_resolve_jobs(parser, args.jobs), pool)
+    backend = _build_backend(_resolve_jobs(parser, args.jobs))
     set_default_batch(args.batch)
 
     # REPRO_TRACE=1 behaves exactly like --trace; --metrics-out collects

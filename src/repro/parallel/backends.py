@@ -604,29 +604,19 @@ def use_backend(backend: Optional[Backend]) -> Iterator[None]:
 def resolve_backend(
     backend: Optional[Backend] = None,
     jobs: Optional[int] = None,
-    pool: Optional[str] = None,
 ) -> Optional[Backend]:
     """The backend a replicated call should use, or None for inline.
 
     Precedence: an explicit ``backend`` wins; else ``jobs`` builds one
-    (1 -> inline legacy loop, N > 1 -> a process pool); else the
-    process-wide default installed via :func:`use_backend` applies.
-    Passing both ``backend`` and ``jobs`` is ambiguous and rejected.
-
-    ``pool`` picks the worker-lifetime discipline when ``jobs`` builds
-    the backend: ``"warm"`` (the default) reuses the shared persistent
-    pool from :func:`warm_pool`; ``"spawn"`` restores the legacy
-    fresh-processes-per-session behaviour (useful when payloads might
-    wedge a worker and isolation matters more than latency).
+    (1 -> inline legacy loop, N > 1 -> the shared persistent pool from
+    :func:`warm_pool`); else the process-wide default installed via
+    :func:`use_backend` applies.  Passing both ``backend`` and ``jobs``
+    is ambiguous and rejected.
     """
     if backend is not None and jobs is not None:
         raise ParameterError(
             "pass either backend= or jobs=, not both "
             f"(got backend={backend!r}, jobs={jobs!r})"
-        )
-    if pool not in (None, "warm", "spawn"):
-        raise ParameterError(
-            f"unknown pool {pool!r}; choose 'warm' or 'spawn'"
         )
     if backend is not None:
         return backend
@@ -634,7 +624,5 @@ def resolve_backend(
         jobs = check_integer(jobs, "jobs", minimum=1)
         if jobs == 1:
             return None
-        if pool == "spawn":
-            return ProcessPoolBackend(jobs)
         return warm_pool(jobs)
     return get_default_backend()

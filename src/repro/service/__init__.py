@@ -13,6 +13,8 @@ that the served boundary matches the offline one.
   (count) and heterogeneous (effective-bandwidth) policies;
 * :mod:`repro.service.workload` — reproducible Poisson connection
   workloads with exponential or heavy-tailed holding times;
+* :mod:`repro.service.kernel`   — :class:`LinkLane`: one link's replay
+  state and the per-request decision step every replay path shares;
 * :mod:`repro.service.replay`   — the replay driver: streams millions
   of requests through per-link engines, shards links across the
   :mod:`repro.parallel` backends (bit-identical to serial), and
@@ -22,7 +24,8 @@ that the served boundary matches the offline one.
 * :mod:`repro.service.journal`  — append-only checksummed decision
   journals with periodic state snapshots; a restarted shard recovers
   its exact link state from them;
-* :mod:`repro.service.supervision` — restart crashed/hung link shards
+* :mod:`repro.service.supervision` — the one fan-out path: run link or
+  shard tasks inline or on a pool, restarting crashed/hung shards
   with per-shard deadlines, heartbeats, and bounded retry;
 * :mod:`repro.service.overload` — bounded admission queue, circuit
   breaker, and conservative peak-rate fallback under overload;
@@ -64,6 +67,7 @@ from repro.service.journal import (
     journal_path,
     load_journal,
 )
+from repro.service.kernel import LinkLane
 from repro.service.overload import (
     AdmissionQueue,
     CircuitBreaker,
@@ -83,6 +87,7 @@ from repro.service.stats import (
     write_summary,
 )
 from repro.service.supervision import (
+    FAIL_FAST,
     ShardReport,
     ShardSupervisor,
     SupervisionPolicy,
@@ -119,11 +124,13 @@ __all__ = [
     "DrivePoint",
     "DriveReport",
     "EFFECTIVE_BANDWIDTH_METHOD",
+    "FAIL_FAST",
     "FrontendServer",
     "FrontendStats",
     "HOLDING_LAWS",
     "JournalRecovery",
     "LinkJournal",
+    "LinkLane",
     "LinkState",
     "LinkStats",
     "OverloadPolicy",

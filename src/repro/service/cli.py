@@ -144,14 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
         "bit-identical to --jobs 1 (default 1)",
     )
     parser.add_argument(
-        "--pool",
-        choices=("warm", "spawn"),
-        default=None,
-        help="worker-pool discipline for --jobs > 1: 'warm' (default; "
-        "persistent workers reused across replays) or 'spawn' (fresh "
-        "processes per replay)",
-    )
-    parser.add_argument(
         "--seed",
         type=int,
         default=20260806,
@@ -463,7 +455,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             policy=args.policy,
             rng=args.seed,
             jobs=args.jobs,
-            pool=args.pool,
             table_path=args.table_cache,
             journal_dir=args.journal_dir,
             snapshot_every=args.snapshot_every,

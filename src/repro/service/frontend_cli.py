@@ -194,13 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
         "are byte-identical to --jobs 1 (default 1)",
     )
     drive_parser.add_argument(
-        "--pool",
-        choices=("warm", "spawn"),
-        default=None,
-        help="worker-pool discipline for --jobs > 1: 'warm' (default; "
-        "persistent workers) or 'spawn' (fresh processes per sweep)",
-    )
-    drive_parser.add_argument(
         "--seed",
         type=int,
         default=20260806,
@@ -420,7 +413,6 @@ def _cmd_drive(args, parser) -> int:
             n_shards=args.shards,
             seed=args.seed,
             jobs=args.jobs if args.jobs > 1 else None,
-            pool=args.pool,
             overload=overload,
             table_path=args.table_cache,
             regime_plan=regime_plan,

@@ -47,13 +47,12 @@ decided against the overload policy, not the primary boundary).
 from __future__ import annotations
 
 import hashlib
-import heapq
 import json
 import pickle
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,30 +67,27 @@ from repro.parallel.backends import (
     resolve_backend,
 )
 from repro.parallel.shm import attach_blob, publish_blob
-from repro.parallel.worker import (
-    WorkerPayload,
-    execute_payload,
-    merge_result_telemetry,
-)
+from repro.parallel.worker import WorkerPayload
 from repro.resilience.faults import (
     NO_CUES,
     FaultyDecisionTables,
     InjectedCrash,
     ServiceFaultPlan,
 )
-from repro.service.engine import REASON_SHED, AdmissionEngine
+from repro.service.engine import AdmissionEngine
 from repro.service.journal import (
     LinkJournal,
     find_recovery,
     journal_path,
 )
+from repro.service.kernel import LinkLane
 from repro.service.overload import OverloadPolicy
-from repro.service.supervision import ShardSupervisor, SupervisionPolicy
-from repro.service.tables import (
-    EFFECTIVE_BANDWIDTH_METHOD,
-    DecisionTableCache,
-    model_fingerprint,
+from repro.service.supervision import (
+    FAIL_FAST,
+    ShardSupervisor,
+    SupervisionPolicy,
 )
+from repro.service.tables import DecisionTableCache, model_fingerprint
 from repro.service.workload import (
     ConnectionClass,
     WorkloadSpec,
@@ -261,74 +257,6 @@ def _journal_fingerprint(
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-class _LinkReplay:
-    """One link's mutable replay state, shared by live and re-applied
-    event processing so both run byte-identical code."""
-
-    def __init__(self):
-        self.departures: List[Tuple[float, str]] = []
-        self.admitted = 0
-        self.blocked = 0
-        self.shed = 0
-        self.fallbacks = 0
-        self.peak_occupancy = 0
-        self.boundary_violations = 0
-        self.carried_load_seconds = 0.0
-        self.last_event_time = 0.0
-
-    def capture(self, seq: int, engine, link_id: str, tables) -> dict:
-        """The full shard state after event ``seq``, exactly.
-
-        Floats as hex round-trips; the departure list in its live heap
-        order (heap order is deterministic, so restoring the raw list
-        reproduces identical pop sequences); accumulators as stored —
-        a recovered attempt must never re-sum them.
-        """
-        return {
-            "seq": int(seq),
-            "admitted": self.admitted,
-            "blocked": self.blocked,
-            "shed": self.shed,
-            "fallbacks": self.fallbacks,
-            "peak_occupancy": self.peak_occupancy,
-            "boundary_violations": self.boundary_violations,
-            "carried_load_seconds": self.carried_load_seconds.hex(),
-            "last_event_time": self.last_event_time.hex(),
-            "departures": [
-                [t.hex(), connection_id]
-                for t, connection_id in self.departures
-            ],
-            "link": engine.export_link_state(link_id),
-            "tables": tables.snapshot_state(),
-            "overload": (
-                engine.overload.state_dict()
-                if engine.overload is not None
-                else None
-            ),
-        }
-
-    def restore(self, state: dict, engine, link_id: str, tables) -> None:
-        """Restore :meth:`capture` output exactly."""
-        self.admitted = int(state["admitted"])
-        self.blocked = int(state["blocked"])
-        self.shed = int(state["shed"])
-        self.fallbacks = int(state["fallbacks"])
-        self.peak_occupancy = int(state["peak_occupancy"])
-        self.boundary_violations = int(state["boundary_violations"])
-        self.carried_load_seconds = float.fromhex(
-            state["carried_load_seconds"]
-        )
-        self.last_event_time = float.fromhex(state["last_event_time"])
-        self.departures = [
-            (float.fromhex(t), connection_id)
-            for t, connection_id in state["departures"]
-        ]
-        engine.restore_link_state(link_id, state["link"])
-        tables.restore_state(state["tables"])
-        if state.get("overload") is not None and engine.overload is not None:
-            engine.overload.restore_state(state["overload"])
-
-
 def replay_link(
     spec: WorkloadSpec,
     classes: Sequence[ConnectionClass],
@@ -354,11 +282,14 @@ def replay_link(
     file once and every shard maps the same pages.  The resulting
     cache state (entries, counters) is identical to a file load.
 
-    Event-driven: arrivals in time order, departures drained from a
-    heap before each arrival, the carried-load integral updated at
-    every state change.  The engine and its decision-table cache are
-    private to the link, so a link's statistics do not depend on what
-    other links (or processes) did — the bit-identity contract.
+    Event-driven: each request, in arrival order, is one
+    :meth:`~repro.service.kernel.LinkLane.step` — departures drained
+    from a heap, the carried-load integral updated at every state
+    change, the decision checked against the offline boundary — the
+    step a ``drive`` shard and ``adaptive_replay_link`` run too.  The
+    engine and its decision-table cache are private to the link, so a
+    link's statistics do not depend on what other links (or
+    processes) did — the bit-identity contract.
 
     With ``journal_prefix`` every decision is journaled
     (``<prefix>.a<attempt>.jsonl``) and the full state snapshotted
@@ -390,8 +321,9 @@ def replay_link(
         tables = faulty_tables
     engine = AdmissionEngine(policy=policy, tables=tables, overload=overload)
     link_id = f"link-{link_index}"
-    link = engine.add_link(link_id, capacity, qos)
+    engine.add_link(link_id, capacity, qos)
     workload = generate_workload(spec, classes, rng)
+    lane = LinkLane(engine, link_id, workload, [c.model for c in classes])
 
     recovery = None
     fingerprint = None
@@ -406,10 +338,9 @@ def replay_link(
         )
         recovery = find_recovery(journal_prefix, attempt, fingerprint)
 
-    replay = _LinkReplay()
     boundary = None
     if recovery is not None and recovery.snapshot_state is not None:
-        replay.restore(recovery.snapshot_state, engine, link_id, tables)
+        lane.restore(recovery.snapshot_state)
         # The restored table counters already include the boundary
         # lookup the dead attempt performed; peek instead of lookup so
         # hit/miss totals stay byte-identical to a fault-free run.
@@ -418,13 +349,6 @@ def replay_link(
         # The boundary the replay is checked against: admissible N of
         # the first class (deterministically the first table miss).
         boundary = tables.lookup(classes[0].model, capacity, qos, policy)
-    count_policy = policy != EFFECTIVE_BANDWIDTH_METHOD
-
-    arrivals = workload.arrival_times
-    holdings = workload.holding_times
-    labels = workload.class_indices
-    models = [c.model for c in classes]
-    overload_active = overload is not None
 
     journal = None
     if journal_prefix is not None:
@@ -438,67 +362,22 @@ def replay_link(
             # a *second* crash recovers from this file alone.
             journal.snapshot(recovery.snapshot_seq, recovery.snapshot_state)
 
-    admit = engine.admit
-    release = engine.release
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    departures = replay.departures
+    step = lane.step
 
-    def step(i: int, forced) -> None:
-        """Process request ``i`` — live, or re-applied from a journal."""
-        now = float(arrivals[i])
-        while departures and departures[0][0] <= now:
-            departed_at, connection_id = heappop(departures)
-            replay.carried_load_seconds += link.admitted_mean_load * (
-                departed_at - replay.last_event_time
-            )
-            replay.last_event_time = departed_at
-            release(link_id, connection_id)
-        replay.carried_load_seconds += link.admitted_mean_load * (
-            now - replay.last_event_time
-        )
-        replay.last_event_time = now
-
+    def journaled_step(i: int, forced=None) -> None:
+        """``lane.step`` with table-fault cues and the journal around
+        it; ``forced`` is the journaled event being re-applied."""
         if faulty_tables is not None:
             faulty_tables.current_request = i
-        occupancy_before = link.occupancy
-        decision = admit(
-            link_id,
-            models[labels[i]],
-            f"c{i}",
-            now=now if overload_active else None,
-            force_fallback=forced.fallback if forced is not None else False,
+        kind, decision = step(
+            i, forced.fallback if forced is not None else False
         )
-        if decision.reason == REASON_SHED:
-            kind = "s"
-        elif decision.admitted:
-            kind = "a"
-        else:
-            kind = "b"
         if forced is not None and kind != forced.kind:
             raise JournalError(
                 f"link {link_index}: recomputed decision {kind!r} for "
                 f"event {i} disagrees with journaled {forced.kind!r}; "
                 "the journal does not describe this workload"
             )
-        if kind == "s":
-            replay.shed += 1
-        elif kind == "a":
-            replay.admitted += 1
-            if decision.occupancy > replay.peak_occupancy:
-                replay.peak_occupancy = decision.occupancy
-            heappush(departures, (now + float(holdings[i]), f"c{i}"))
-        else:
-            replay.blocked += 1
-        if decision.fallback:
-            replay.fallbacks += 1
-        if (
-            count_policy
-            and kind != "s"
-            and not decision.fallback
-            and decision.admitted != (occupancy_before < decision.admissible)
-        ):
-            replay.boundary_violations += 1
         if journal is not None:
             if cues.torn_event == i:
                 journal.torn_event(i, kind, fallback=decision.fallback)
@@ -508,10 +387,11 @@ def replay_link(
                 )
             journal.event(i, kind, fallback=decision.fallback)
             if (i + 1) % snapshot_every == 0:
-                journal.snapshot(
-                    i, replay.capture(i, engine, link_id, tables)
-                )
+                journal.snapshot(i, lane.capture(i))
 
+    live_step = (
+        step if journal is None and faulty_tables is None else journaled_step
+    )
     start = 0
     try:
         with span(
@@ -528,7 +408,7 @@ def replay_link(
                 # journaled outcome asserted and fallback provenance
                 # forced, so counters and floats advance identically.
                 for event in recovery.events:
-                    step(event.seq, event)
+                    journaled_step(event.seq, event)
                 start = recovery.next_seq
                 if _spans._ENABLED and recovery.events:
                     _metrics.add(
@@ -543,7 +423,7 @@ def replay_link(
                         f"injected shard crash before request {i} on "
                         f"link {link_index} attempt {attempt}"
                     )
-                step(i, None)
+                live_step(i)
     finally:
         if journal is not None:
             journal.close()
@@ -555,19 +435,19 @@ def replay_link(
         _metrics.add("service.requests_replayed", workload.n_requests)
         # add(0) still registers the instrument, so serial and
         # parallel snapshots list the same counters.
-        _metrics.add("service.boundary_violations", replay.boundary_violations)
+        _metrics.add("service.boundary_violations", lane.boundary_violations)
 
     return LinkStats(
         link_index=link_index,
         n_requests=workload.n_requests,
-        admitted=replay.admitted,
-        blocked=replay.blocked,
-        shed=replay.shed,
-        fallbacks=replay.fallbacks,
-        peak_occupancy=replay.peak_occupancy,
+        admitted=lane.admitted,
+        blocked=lane.blocked,
+        shed=lane.shed,
+        fallbacks=lane.fallbacks,
+        peak_occupancy=lane.peak_occupancy,
         admissible=boundary.admissible,
-        boundary_violations=replay.boundary_violations,
-        carried_load_seconds=replay.carried_load_seconds,
+        boundary_violations=lane.boundary_violations,
+        carried_load_seconds=lane.carried_load_seconds,
         elapsed_seconds=workload.horizon_seconds,
         cache_hits=tables.hits,
         cache_misses=tables.misses,
@@ -667,7 +547,6 @@ def replay_workload(
     rng: RngLike = None,
     backend: Optional[Backend] = None,
     jobs: Optional[int] = None,
-    pool: Optional[str] = None,
     table_path=None,
     journal_dir=None,
     snapshot_every: int = 2000,
@@ -680,19 +559,17 @@ def replay_workload(
     Each of the ``n_links`` independent links runs the same workload
     specification on its own ``SeedSequence``-spawned stream.  With
     ``jobs=N`` (or an explicit ``backend=``) links fan out across
-    worker processes; the summary is bit-identical to a serial run on
-    the same seed.  ``pool`` picks the worker discipline for
-    ``jobs=N``: the shared persistent warm pool by default, or
-    ``"spawn"`` for fresh processes per replay.  ``table_path`` points
-    every link at a shared persisted decision table (loaded read-only;
-    on a process backend the file ships to workers once through shared
-    memory).
+    worker processes (the shared warm pool for ``jobs=N``); the
+    summary is bit-identical to a serial run on the same seed.
+    ``table_path`` points every link at a shared persisted decision
+    table (loaded read-only; on a process backend the file ships to
+    workers once through shared memory).
 
     Without ``supervision`` a failed shard fails the whole replay
-    (legacy fail-fast).  With it, crashed and hung shards are
-    restarted up to the policy's budget, each restart recovering from
-    the shard's journal when ``journal_dir`` is set — the summary
-    remains byte-identical to a fault-free run.
+    (:data:`~repro.service.supervision.FAIL_FAST`).  With it, crashed
+    and hung shards are restarted up to the policy's budget, each
+    restart recovering from the shard's journal when ``journal_dir``
+    is set — the summary remains byte-identical to a fault-free run.
     """
     n_links = check_integer(n_links, "n_links", minimum=1)
     check_positive(capacity, "capacity")
@@ -702,7 +579,7 @@ def replay_workload(
             "a ServiceFaultPlan requires supervision= (an unsupervised "
             "replay would simply die at the first injected fault)"
         )
-    exec_backend = resolve_backend(backend, jobs, pool)
+    exec_backend = resolve_backend(backend, jobs)
     # On a process backend, ship the persisted decision table to the
     # shards as one shared-memory image instead of n_links disk reads
     # (and n_links pickled paths racing the filesystem cache): the
@@ -732,7 +609,22 @@ def replay_workload(
     )
     telemetry = _spans.is_enabled()
     generators = spawn_generators(rng, n_links)
-    results: List = [None] * n_links
+
+    def payload_factory(index: int, attempt: int) -> WorkerPayload:
+        # Each attempt replays from a pristine copy of the link's
+        # stream: inline execution advances a generator in place, and
+        # a restarted attempt must regenerate the identical workload.
+        generator = pickle.loads(pickle.dumps(generators[index]))
+        return WorkerPayload(
+            index=index,
+            attempt=attempt,
+            task=task,
+            generator=generator,
+            label=f"workload-link-{index}",
+            telemetry=telemetry,
+            health_check=True,
+        )
+
     try:
         with span(
             "service.replay",
@@ -741,84 +633,12 @@ def replay_workload(
             policy=policy,
             jobs=1 if exec_backend is None else exec_backend.jobs,
         ):
-            if supervision is not None:
-
-                def payload_factory(
-                    index: int, attempt: int
-                ) -> WorkerPayload:
-                    # Each attempt replays from a pristine copy of the
-                    # link's stream: inline execution advances a
-                    # generator in place, and a restarted attempt must
-                    # regenerate the identical workload.
-                    generator = pickle.loads(
-                        pickle.dumps(generators[index])
-                    )
-                    return WorkerPayload(
-                        index=index,
-                        attempt=attempt,
-                        task=task,
-                        generator=generator,
-                        label=f"workload-link-{index}",
-                        telemetry=telemetry,
-                        health_check=True,
-                    )
-
-                supervisor = ShardSupervisor(
-                    payload_factory,
-                    n_links,
-                    backend=exec_backend,
-                    policy=supervision,
-                )
-                results = supervisor.run()
-                if exec_backend is not None:
-                    # Telemetry merges in link-index order, not
-                    # completion order (canonical-JSON bit-identity).
-                    for result in results:
-                        merge_result_telemetry(result)
-            elif exec_backend is None:
-                payloads = [
-                    WorkerPayload(
-                        index=i,
-                        attempt=0,
-                        task=task,
-                        generator=generators[i],
-                        label=f"workload-link-{i}",
-                        telemetry=telemetry,
-                        health_check=True,
-                    )
-                    for i in range(n_links)
-                ]
-                for payload in payloads:
-                    result = execute_payload(payload)
-                    if result.failed:
-                        raise result.error
-                    results[result.index] = result
-            else:
-                payloads = [
-                    WorkerPayload(
-                        index=i,
-                        attempt=0,
-                        task=task,
-                        generator=generators[i],
-                        label=f"workload-link-{i}",
-                        telemetry=telemetry,
-                        health_check=True,
-                    )
-                    for i in range(n_links)
-                ]
-                with exec_backend.session() as session:
-                    for payload in payloads:
-                        session.submit(payload)
-                    while session.pending:
-                        result = session.next_completed()
-                        if result.failed:
-                            raise result.error
-                        results[result.index] = result
-                # Telemetry merges in link-index order, not completion
-                # order: sketch/counter snapshots (and their canonical
-                # JSON) must not depend on which worker finished first.
-                for result in results:
-                    merge_result_telemetry(result)
+            results = ShardSupervisor(
+                payload_factory,
+                n_links,
+                backend=exec_backend,
+                policy=supervision if supervision is not None else FAIL_FAST,
+            ).run()
     finally:
         if table_handle is not None:
             table_handle.unlink()

@@ -1,8 +1,12 @@
 """Shard supervision: restart crashed or hung link-shard workers.
 
-The replay driver (:mod:`repro.service.replay`) historically failed
-fast — one crashed link shard killed the whole run.  The supervisor
-wraps the same backend session protocol with a restart loop:
+Every fan-out of the service and adaptive paths — replay links
+(:mod:`repro.service.replay`), drive shards
+(:mod:`repro.service.drive`) and adaptive links
+(:mod:`repro.adaptive.recompute`) — runs inline or on a pool backend
+through :class:`ShardSupervisor`.  Under :data:`FAIL_FAST` one crashed
+shard fails the whole run; a restart budget wraps the backend session
+protocol with a restart loop:
 
 * **crashes** — a shard whose payload raises (any exception: a
   supervisor restarts indiscriminately, unlike the resilience
@@ -58,10 +62,12 @@ from repro.parallel.worker import (
     WorkerPayload,
     WorkerResult,
     execute_payload,
+    merge_result_telemetry,
 )
 from repro.utils.validation import check_integer, check_positive
 
 __all__ = [
+    "FAIL_FAST",
     "ShardReport",
     "ShardSupervisor",
     "SupervisionPolicy",
@@ -133,6 +139,12 @@ class ShardReport:
     outcome: str = "ok"
 
 
+#: No restarts: the first failed shard fails the run.  Every
+#: unsupervised fan-out of the service and adaptive paths runs
+#: through :class:`ShardSupervisor` with this policy.
+FAIL_FAST = SupervisionPolicy(max_restarts=0)
+
+
 class ShardSupervisor:
     """Run ``n_shards`` payloads to completion, restarting failures.
 
@@ -170,7 +182,10 @@ class ShardSupervisor:
 
         Raises the final attempt's error once a shard exhausts its
         restart budget (fail-fast semantics preserved — partial
-        results are never returned).
+        results are never returned).  Worker telemetry is merged in
+        shard-index order, not completion order, so sketch and counter
+        snapshots (and their canonical JSON) do not depend on which
+        worker finished first.
         """
         self.reports = [ShardReport(i) for i in range(self.n_shards)]
         with span(
@@ -181,7 +196,10 @@ class ShardSupervisor:
         ):
             if self.backend is None:
                 return self._run_inline()
-            return self._run_pool()
+            results = self._run_pool()
+            for result in results:
+                merge_result_telemetry(result)
+            return results
 
     # -- shared failure bookkeeping ------------------------------------------
 

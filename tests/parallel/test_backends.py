@@ -182,15 +182,6 @@ class TestResolveBackend:
         assert isinstance(backend, WarmPoolBackend)
         assert backend is warm_pool(2)
 
-    def test_pool_spawn_builds_fresh_pool(self):
-        backend = resolve_backend(jobs=2, pool="spawn")
-        assert type(backend) is ProcessPoolBackend
-        assert backend is not resolve_backend(jobs=2, pool="spawn")
-
-    def test_unknown_pool_rejected(self):
-        with pytest.raises(ParameterError, match="pool"):
-            resolve_backend(jobs=2, pool="tepid")
-
     def test_default_is_inline(self):
         assert resolve_backend() is None
 
