@@ -35,12 +35,9 @@ from typing import List, Optional
 from repro import obs
 from repro.adaptive.nonstationary import parse_regime_plan
 from repro.adaptive.recompute import adaptive_replay
-from repro.atm.qos import QoSRequirement
-from repro.exceptions import ReproError
-from repro.service.cli import CLASS_PRESETS, build_class
-from repro.service.tables import SERVICE_METHODS, DecisionTableCache
+from repro.service import cli as service_cli
+from repro.service.tables import DecisionTableCache
 from repro.service.workload import WorkloadSpec
-from repro.utils.units import mbps_to_cells_per_frame
 
 __all__ = ["build_parser", "main"]
 
@@ -53,59 +50,9 @@ def build_parser() -> argparse.ArgumentParser:
             "detection and hot-swapped decision tables"
         ),
     )
-    parser.add_argument(
-        "--requests",
-        type=int,
-        default=20_000,
-        metavar="N",
-        help="connection requests per link (default 20000)",
-    )
-    parser.add_argument(
-        "--links",
-        type=int,
-        default=1,
-        metavar="L",
-        help="independent links to replay (default 1)",
-    )
-    parser.add_argument(
-        "--policy",
-        choices=SERVICE_METHODS,
-        default="bahadur-rao",
-        help="admission policy (default bahadur-rao)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="shard links across N worker processes; the summary is "
-        "bit-identical to --jobs 1 (default 1)",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=20260806,
-        metavar="S",
-        help="workload seed; per-link streams are SeedSequence children",
-    )
-    parser.add_argument(
-        "--class",
-        dest="classes",
-        action="append",
-        type=build_class,
-        metavar="NAME[:WEIGHT]",
-        help="declared (signalled) class (repeatable); presets: "
-        + ", ".join(sorted(CLASS_PRESETS))
-        + " (default: conference)",
-    )
-    parser.add_argument(
-        "--regime-plan",
-        metavar="PLAN",
-        default=None,
-        help="true-traffic schedule as name@start[xMULT],... over the "
-        "request index (default: the declared class, stationary); "
-        "e.g. conference@0,video@10000x1.5",
-    )
+    service_cli.add_run_arguments(parser, requests=20_000)
+    service_cli.add_link_arguments(parser, links=1, default_class="conference")
+    service_cli.add_regime_plan_argument(parser)
     parser.add_argument(
         "--diurnal-amplitude",
         type=float,
@@ -176,73 +123,14 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="B",
         help="CLR-trajectory buckets over the request index (default 20)",
     )
-    parser.add_argument(
-        "--capacity-mbps",
-        type=float,
-        default=155.52,
-        metavar="MBPS",
-        help="link rate in Mbit/s (default 155.52, OC-3)",
-    )
-    parser.add_argument(
-        "--delay-ms",
-        type=float,
-        default=20.0,
-        metavar="MS",
-        help="per-node QoS delay budget (default 20 msec)",
-    )
-    parser.add_argument(
-        "--clr",
-        type=float,
-        default=1e-6,
-        metavar="P",
-        help="QoS cell loss rate target (default 1e-6)",
-    )
-    parser.add_argument(
-        "--erlangs",
-        type=float,
-        default=None,
-        metavar="A",
-        help="offered load in Erlangs per link (default: 0.3x the "
-        "declared class's admissible-N boundary)",
-    )
-    parser.add_argument(
-        "--arrival-rate",
-        type=float,
-        default=None,
-        metavar="RATE",
-        help="connection arrivals/second per link (overrides --erlangs)",
-    )
-    parser.add_argument(
-        "--holding-mean",
-        type=float,
-        default=90.0,
-        metavar="SECONDS",
-        help="mean connection holding time (default 90 s)",
-    )
-    parser.add_argument(
-        "--summary-out",
-        metavar="FILE",
-        default=None,
-        help="write the canonical JSON summary to FILE (byte-identical "
-        "across --jobs values)",
-    )
+    service_cli.add_replay_arguments(parser, load_factor=0.3)
     parser.add_argument(
         "--clr-out",
         metavar="FILE",
         default=None,
         help="write the pooled CLR-vs-time trajectory as CSV to FILE",
     )
-    parser.add_argument(
-        "--timings",
-        metavar="FILE",
-        default=None,
-        help="append a schema-2 timings row to FILE",
-    )
-    parser.add_argument(
-        "--trace",
-        action="store_true",
-        help="collect telemetry and print the span/metrics summary",
-    )
+    service_cli.add_timings_argument(parser)
     return parser
 
 
@@ -291,51 +179,14 @@ def _write_clr_csv(path: str, summary) -> str:
     return path
 
 
-def _append_timing(path: str, summary, wall_seconds: float, jobs: int) -> None:
-    from repro.obs.timings import append_timing_row
-
-    record = {
-        "experiment": "adaptive_replay",
-        "scale": (
-            f"links{summary.n_links}x"
-            f"{summary.n_requests // max(summary.n_links, 1)}"
-        ),
-        "jobs": jobs,
-        "rounds": 1,
-        "mean_s": wall_seconds,
-        "min_s": wall_seconds,
-        "max_s": wall_seconds,
-        "stddev_s": None,
-        "requests": summary.n_requests,
-        "requests_per_s": (
-            summary.n_requests / wall_seconds if wall_seconds else 0.0
-        ),
-        "drift_detections": summary.drift_detections,
-        "table_swaps": summary.swaps,
-        "boundary_violations": summary.boundary_violations,
-        "final_clr": summary.final_clr,
-    }
-    append_timing_row(path, record)
-    print(f"[timings row appended to {path}]")
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.requests < 1:
-        parser.error(f"--requests must be >= 1, got {args.requests}")
-    if args.links < 1:
-        parser.error(f"--links must be >= 1, got {args.links}")
-    if args.jobs < 1:
-        parser.error(f"--jobs must be >= 1, got {args.jobs}")
-
-    declared = args.classes or [build_class("conference")]
-    capacity = mbps_to_cells_per_frame(args.capacity_mbps)
-    qos = QoSRequirement(
-        max_delay_seconds=args.delay_ms / 1000.0, max_clr=args.clr
-    )
-
-    try:
+    with service_cli.usage_errors(parser):
+        service_cli.check_counts(args)
+        declared, capacity, qos = service_cli.operating_point(
+            args, default_class="conference"
+        )
         plan = parse_regime_plan(
             args.regime_plan
             if args.regime_plan is not None
@@ -344,45 +195,26 @@ def main(argv: Optional[List[str]] = None) -> int:
             diurnal_period=args.diurnal_period,
             variance_ramp=args.variance_ramp,
         )
-    except ReproError as exc:
-        parser.error(str(exc))
-
-    # The candidate library the estimator matches against: the
-    # declared classes plus every class the plan references.
-    candidates = list(declared)
-    known = {c.name for c in candidates}
-    for regime in plan.regimes:
-        if regime.class_name not in known:
-            try:
-                candidates.append(build_class(regime.class_name))
-            except argparse.ArgumentTypeError as exc:
-                parser.error(str(exc))
-            known.add(regime.class_name)
+        candidates = service_cli.regime_candidates(declared, plan)
 
     if args.trace:
         obs.enable()
         obs.reset()
 
-    # The declared boundary pins the default offered load: 0.3x the
-    # admissible N of the declared class — comfortably underloaded
-    # for the declared traffic, so any post-switch CLR violation is
-    # attributable to the model mismatch, not to raw overload.
-    tables = DecisionTableCache()
-    boundary = tables.lookup(declared[0].model, capacity, qos, args.policy)
-    if args.arrival_rate is not None:
-        arrival_rate = args.arrival_rate
-    else:
-        erlangs = (
-            args.erlangs
-            if args.erlangs is not None
-            else 0.3 * max(boundary.admissible, 1)
+    with service_cli.usage_errors(parser):
+        # The declared boundary pins the default offered load: 0.3x
+        # the admissible N of the declared class — comfortably
+        # underloaded for the declared traffic, so any post-switch CLR
+        # violation is attributable to the model mismatch, not to raw
+        # overload.
+        boundary = DecisionTableCache().lookup(
+            declared[0].model, capacity, qos, args.policy
         )
-        arrival_rate = erlangs / args.holding_mean
-
-    try:
         spec = WorkloadSpec(
             n_requests=args.requests,
-            arrival_rate=arrival_rate,
+            arrival_rate=service_cli.offered_arrival_rate(
+                args, boundary.admissible, load_factor=0.3
+            ),
             mean_holding_time=args.holding_mean,
         )
         started = time.perf_counter()
@@ -404,8 +236,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             jobs=args.jobs,
         )
         wall = time.perf_counter() - started
-    except ReproError as exc:
-        parser.error(str(exc))
 
     print(format_summary(summary))
     if args.trace:
@@ -418,7 +248,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.clr_out is not None:
         print(f"[wrote {_write_clr_csv(args.clr_out, summary)}]")
     if args.timings is not None:
-        _append_timing(args.timings, summary, wall, args.jobs)
+        service_cli.append_timings(
+            args.timings,
+            experiment="adaptive_replay",
+            scale=(
+                f"links{summary.n_links}x"
+                f"{summary.n_requests // max(summary.n_links, 1)}"
+            ),
+            jobs=args.jobs,
+            walls=[wall],
+            requests=summary.n_requests,
+            drift_detections=summary.drift_detections,
+            table_swaps=summary.swaps,
+            boundary_violations=summary.boundary_violations,
+            final_clr=summary.final_clr,
+        )
     return 0
 
 

@@ -41,21 +41,28 @@ are documented in :mod:`repro.service.cli` and ``docs/SERVICE.md``.
 
 The ``obs`` verb hosts the observability toolbox
 (:mod:`repro.obs.cli`): ``obs report`` merges telemetry JSONL dumps,
-``obs sweep`` renders latency-vs-rho tables from admission replays,
-``obs slo`` judges exported metrics against declarative SLO targets,
-and ``obs compare`` is the benchmark perf-regression gate (see
-``docs/OBSERVABILITY.md``).
+``obs sweep`` runs the drive sweep one rho point at a time and prints
+its latency-vs-rho table, ``obs slo`` judges exported metrics against
+declarative SLO targets, and ``obs compare`` is the benchmark
+perf-regression gate (see ``docs/OBSERVABILITY.md``).
+
+The ``adapt`` verb (:mod:`repro.adaptive.cli`) replays a
+nonstationary workload with drift detection and hot-swapped decision
+tables (see ``docs/ADAPTIVE.md``).
 
 The ``serve`` and ``drive`` verbs host the sharded admission frontend
 (:mod:`repro.service.frontend_cli`): ``serve`` answers admit/release
 requests over newline-delimited JSON, ``drive`` sweeps an open-loop
 rho-driven workload against the same sharded data plane and prints
 the p50/p99/p999 latency-vs-rho table (see ``docs/SERVICE.md``).
+The service verbs declare the flags they have in common once, in
+:mod:`repro.service.cli`.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
 import time
@@ -68,6 +75,18 @@ from repro.experiments.registry import EXPERIMENTS, run_experiment
 from repro.parallel.backends import Backend, resolve_backend
 from repro.queueing.replication import set_default_batch
 from repro.resilience.policy import ResiliencePolicy
+
+#: The verbs that are not paper experiments, each with its own flags:
+#: the module whose ``main`` runs the verb, and whether the verb name
+#: stays in the argv handed to it (``serve`` and ``drive`` are
+#: subcommands of one parser).
+_VERBS = {
+    "workload": ("repro.service.cli", False),
+    "obs": ("repro.obs.cli", False),
+    "adapt": ("repro.adaptive.cli", False),
+    "serve": ("repro.service.frontend_cli", True),
+    "drive": ("repro.service.frontend_cli", True),
+}
 
 
 def _resolve_jobs(
@@ -115,30 +134,12 @@ def _build_policy(args: argparse.Namespace) -> Optional[ResiliencePolicy]:
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "workload":
-        # The admission-control service verb has its own flag set;
-        # delegate before the experiment parser can reject it.
-        from repro.service.cli import main as workload_main
-
-        return workload_main(argv[1:])
-    if argv and argv[0] == "obs":
-        # Observability verb: reports, latency-vs-rho sweeps, SLO
-        # checks, and the timings regression gate.
-        from repro.obs.cli import main as obs_main
-
-        return obs_main(argv[1:])
-    if argv and argv[0] == "adapt":
-        # Nonstationary-traffic adaptation verb: drift detection and
-        # hot-swapped decision tables.
-        from repro.adaptive.cli import main as adapt_main
-
-        return adapt_main(argv[1:])
-    if argv and argv[0] in ("serve", "drive"):
-        # Sharded admission frontend: serve it over a socket, or
-        # drive it open-loop across a rho grid.
-        from repro.service.frontend_cli import main as frontend_main
-
-        return frontend_main(argv)
+    if argv and argv[0] in _VERBS:
+        # A service verb parses its own flags; delegate before the
+        # experiment parser can reject them.
+        module, keep_verb = _VERBS[argv[0]]
+        verb_main = importlib.import_module(module).main
+        return verb_main(argv if keep_verb else argv[1:])
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
         description="Reproduce tables/figures of Ryu & Elwalid (SIGCOMM '96)",
@@ -147,7 +148,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "experiments",
         nargs="+",
         help=f"experiment ids ({', '.join(sorted(EXPERIMENTS))}), 'all', "
-        "or the 'workload' / 'obs' / 'serve' / 'drive' verbs (own "
+        f"or the {' / '.join(repr(verb) for verb in _VERBS)} verbs (own "
         "flags; see --help after them)",
     )
     parser.add_argument(

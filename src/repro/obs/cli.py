@@ -14,10 +14,11 @@ Four subcommands:
 * ``report`` — merge one or more telemetry JSONL files (spans +
   metrics, sketches included) and render the human summary or
   canonical JSON;
-* ``sweep`` — drive the admission-control replay over a grid of
-  utilizations rho (offered Erlangs = rho x admissible N) and print
-  the latency-vs-rho table: p50/p99/p999 admit latency per link and
-  aggregate, the curve ROADMAP open item 2 asks for as rho -> 1;
+* ``sweep`` — run the drive sweep (:func:`repro.service.drive.drive`,
+  as ``runner drive`` does) one utilization rho at a time (offered
+  Erlangs = rho x admissible N) and print the latency-vs-rho table:
+  p50/p99/p999 admit latency per link and aggregate, the curve
+  ROADMAP open item 2 asks for as rho -> 1;
 * ``compare`` — diff two ``timings.jsonl`` runs (or check jobs>1
   rows against serial within one file) and exit nonzero on
   regressions beyond ``--threshold`` — the CI perf gate;
@@ -39,15 +40,17 @@ from repro.obs import export as _export
 from repro.obs import metrics as _metrics
 from repro.obs import slo as _slo
 from repro.obs import spans as _spans
-from repro.obs import tracectx as _tracectx
 from repro.obs import timings as _timings
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sketch import QuantileSketch
+from repro.service import cli as _service_cli
+from repro.service.drive import DRIVE_QUANTILES, drive
+from repro.service.tables import DecisionTableCache
 
 __all__ = ["build_parser", "main"]
 
-#: The quantiles of the latency-vs-rho table.
-SWEEP_QUANTILES = (0.5, 0.99, 0.999)
+#: The utilization grid of a sweep without ``--rho``.
+SWEEP_RHO_GRID = (0.6, 0.8, 0.9, 0.95)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,41 +78,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser(
         "sweep",
-        help="latency-vs-rho sweep of the admission-control replay",
+        help="latency-vs-rho sweep of the admission-control drive",
     )
-    sweep.add_argument(
-        "--rho",
-        action="append",
-        type=float,
-        metavar="R",
-        help="utilization grid point in (0, ~1.2]; offered load is "
-        "rho x admissible N Erlangs (repeatable; default 0.6 0.8 0.9 "
-        "0.95)",
-    )
-    sweep.add_argument("--requests", type=int, default=20_000, metavar="N")
-    sweep.add_argument("--links", type=int, default=1, metavar="L")
-    sweep.add_argument("--jobs", type=int, default=1, metavar="N")
-    sweep.add_argument("--seed", type=int, default=20260806, metavar="S")
-    sweep.add_argument(
-        "--class",
-        dest="classes",
-        action="append",
-        metavar="NAME[:WEIGHT]",
-        help="offered class preset (as for the workload verb)",
-    )
-    sweep.add_argument(
-        "--policy", default="bahadur-rao", metavar="POLICY"
-    )
-    sweep.add_argument(
-        "--capacity-mbps", type=float, default=155.52, metavar="MBPS"
-    )
-    sweep.add_argument(
-        "--delay-ms", type=float, default=20.0, metavar="MS"
-    )
-    sweep.add_argument("--clr", type=float, default=1e-6, metavar="P")
-    sweep.add_argument(
-        "--holding-mean", type=float, default=90.0, metavar="SECONDS"
-    )
+    _service_cli.add_rho_argument(sweep, grid=SWEEP_RHO_GRID)
+    _service_cli.add_run_arguments(sweep, requests=20_000)
+    _service_cli.add_link_arguments(sweep, links=1)
     sweep.add_argument(
         "--out",
         metavar="FILE",
@@ -213,9 +186,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _sketch_quantiles(data: Optional[dict]) -> dict:
     if data is None or not data.get("count"):
-        return {f"p{q}": None for q in SWEEP_QUANTILES}
+        return {f"p{q}": None for q in DRIVE_QUANTILES}
     sketch = QuantileSketch.from_dict(data)
-    return {f"p{q}": sketch.quantile(q) for q in SWEEP_QUANTILES}
+    return {f"p{q}": sketch.quantile(q) for q in DRIVE_QUANTILES}
 
 
 def _format_ns(value: Optional[float]) -> str:
@@ -223,36 +196,14 @@ def _format_ns(value: Optional[float]) -> str:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    # Heavy imports stay local: `obs report/compare` must not pay for
-    # the model stack.
-    from repro.atm.qos import QoSRequirement
-    from repro.service.cli import build_class
-    from repro.service.replay import replay_workload
-    from repro.service.tables import DecisionTableCache
-    from repro.service.workload import WorkloadSpec
-    from repro.utils.units import mbps_to_cells_per_frame
-
-    if args.requests < 1:
-        raise ReproError(f"--requests must be >= 1, got {args.requests}")
-    if args.links < 1:
-        raise ReproError(f"--links must be >= 1, got {args.links}")
-    grid = args.rho or [0.6, 0.8, 0.9, 0.95]
-    for rho in grid:
-        if rho <= 0:
-            raise ReproError(f"--rho must be > 0, got {rho}")
-
-    classes = [build_class(spec) for spec in (args.classes or ["video"])]
-    capacity = mbps_to_cells_per_frame(args.capacity_mbps)
-    qos = QoSRequirement(
-        max_delay_seconds=args.delay_ms / 1000.0, max_clr=args.clr
-    )
+    _service_cli.check_counts(args)
+    grid = _service_cli.rho_grid(args, SWEEP_RHO_GRID)
+    classes, capacity, qos = _service_cli.operating_point(args)
     boundary = DecisionTableCache().lookup(
         classes[0].model, capacity, qos, args.policy
     )
     admissible = max(boundary.admissible, 1)
 
-    previously_enabled = _spans.is_enabled()
-    _spans.enable()
     rows = []
     print(
         f"latency-vs-rho sweep — policy {args.policy}, {args.links} "
@@ -265,72 +216,59 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     print(header)
     print("-" * len(header))
-    try:
-        with _tracectx.start_trace():
-            for rho in grid:
-                _spans.reset_spans()
-                _metrics.reset_metrics()
-                erlangs = rho * admissible
-                spec = WorkloadSpec(
-                    n_requests=args.requests,
-                    arrival_rate=erlangs / args.holding_mean,
-                    mean_holding_time=args.holding_mean,
-                )
-                summary = replay_workload(
-                    spec,
-                    classes,
-                    n_links=args.links,
-                    capacity=capacity,
-                    qos=qos,
-                    policy=args.policy,
-                    rng=args.seed,
-                    jobs=args.jobs,
-                )
-                snapshot = {
-                    d["name"]: d
-                    for d in _metrics.snapshot()
-                    if d["type"] == "sketch"
-                }
-                aggregate = _sketch_quantiles(
-                    snapshot.get("service.admit_latency_ns")
-                )
-                links = {}
-                for stats in summary.links:
-                    link_id = f"link-{stats.link_index}"
-                    links[link_id] = _sketch_quantiles(
-                        snapshot.get(f"service.admit_latency_ns.{link_id}")
-                    )
-                rows.append(
-                    {
-                        "rho": rho,
-                        "offered_erlangs": erlangs,
-                        "blocking_probability": (
-                            summary.blocking_probability
-                        ),
-                        "n_requests": summary.n_requests,
-                        "admit_latency_ns": aggregate,
-                        "links": links,
-                    }
-                )
+    for rho in grid:
+        # A clean registry per point: the per-link sketches the drive's
+        # shards flush then hold this point's latencies only.
+        _spans.reset_spans()
+        _metrics.reset_metrics()
+        (point,) = drive(
+            classes,
+            n_links=args.links,
+            capacity=capacity,
+            qos=qos,
+            policy=args.policy,
+            rho_grid=(rho,),
+            requests_per_link=args.requests,
+            mean_holding_time=args.holding_mean,
+            seed=args.seed,
+            jobs=args.jobs,
+        ).points
+        snapshot = {
+            d["name"]: d for d in _metrics.snapshot() if d["type"] == "sketch"
+        }
+        aggregate = point.admit_latency_ns
+        links = {
+            f"link-{i}": _sketch_quantiles(
+                snapshot.get(f"service.admit_latency_ns.link-{i}")
+            )
+            for i in range(args.links)
+        }
+        rows.append(
+            {
+                "rho": rho,
+                "offered_erlangs": point.offered_erlangs,
+                "blocking_probability": point.blocking_probability,
+                "n_requests": point.n_requests,
+                "admit_latency_ns": aggregate,
+                "links": links,
+            }
+        )
+        print(
+            f"{rho:>6.3f} {point.offered_erlangs:>8.1f} "
+            f"{point.blocking_probability:>9.4f} "
+            f"{_format_ns(aggregate['p0.5'])} "
+            f"{_format_ns(aggregate['p0.99'])} "
+            f"{_format_ns(aggregate['p0.999'])}"
+        )
+        if args.links > 1:
+            for link_id in sorted(links):
+                q = links[link_id]
                 print(
-                    f"{rho:>6.3f} {erlangs:>8.1f} "
-                    f"{summary.blocking_probability:>9.4f} "
-                    f"{_format_ns(aggregate['p0.5'])} "
-                    f"{_format_ns(aggregate['p0.99'])} "
-                    f"{_format_ns(aggregate['p0.999'])}"
+                    f"{'':>6} {link_id:>8} {'':>9} "
+                    f"{_format_ns(q['p0.5'])} "
+                    f"{_format_ns(q['p0.99'])} "
+                    f"{_format_ns(q['p0.999'])}"
                 )
-                if args.links > 1:
-                    for link_id in sorted(links):
-                        q = links[link_id]
-                        print(
-                            f"{'':>6} {link_id:>8} {'':>9} "
-                            f"{_format_ns(q['p0.5'])} "
-                            f"{_format_ns(q['p0.99'])} "
-                            f"{_format_ns(q['p0.999'])}"
-                        )
-    finally:
-        if not previously_enabled:
-            _spans.disable()
 
     if args.out is not None:
         report = {

@@ -1,4 +1,4 @@
-"""The ``workload`` command-line verb.
+"""The ``workload`` command-line verb, and the flags every service verb shares.
 
 Reachable both directly and through the experiment runner::
 
@@ -26,17 +26,24 @@ flags inject deterministic faults at ``(link, attempt, request)``
 addresses to prove it.  ``--max-queue``/``--decision-rate`` bound the
 admission path under overload (deterministic shedding plus a circuit
 breaker falling back to the conservative peak-rate policy).
+
+The flags ``workload``, ``serve``/``drive``, ``adapt`` and ``obs sweep``
+share are declared once, by the ``add_*`` helpers below (each verb
+passes its own defaults), and what they configure is built once, by
+the functions after them; a ReproError they raise becomes a usage
+error (exit 2) under :func:`usage_errors`.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from contextlib import contextmanager
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.atm.qos import QoSRequirement
-from repro.exceptions import ReproError
+from repro.exceptions import ParameterError, ReproError
 from repro.resilience.faults import ServiceFaultPlan
 from repro.service.overload import OverloadPolicy
 from repro.service.replay import replay_workload
@@ -46,7 +53,28 @@ from repro.service.tables import SERVICE_METHODS, DecisionTableCache
 from repro.service.workload import ConnectionClass, WorkloadSpec
 from repro.utils.units import mbps_to_cells_per_frame
 
-__all__ = ["CLASS_PRESETS", "build_class", "build_parser", "main"]
+__all__ = [
+    "CLASS_PRESETS",
+    "add_engine_arguments",
+    "add_holding_law_arguments",
+    "add_link_arguments",
+    "add_regime_plan_argument",
+    "add_replay_arguments",
+    "add_rho_argument",
+    "add_run_arguments",
+    "add_timings_argument",
+    "append_timings",
+    "build_class",
+    "build_overload",
+    "build_parser",
+    "check_counts",
+    "main",
+    "offered_arrival_rate",
+    "operating_point",
+    "regime_candidates",
+    "rho_grid",
+    "usage_errors",
+]
 
 
 def _parse_chaos(values, n_fields, flag, parser):
@@ -107,48 +135,22 @@ def build_class(spec: str) -> ConnectionClass:
     return ConnectionClass(name=name, model=model, weight=weight)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-workload",
-        description=(
-            "Replay a synthetic connection workload through the online "
-            "admission-control engine"
-        ),
-    )
-    parser.add_argument(
-        "--requests",
-        type=int,
-        default=10_000,
-        metavar="N",
-        help="connection requests per link (default 10000)",
-    )
+# -- the shared flags ---------------------------------------------------------
+
+
+def add_link_arguments(
+    parser: argparse.ArgumentParser,
+    *,
+    links: int,
+    default_class: str = "video",
+) -> None:
+    """The operating point: links, classes, policy, capacity and QoS."""
     parser.add_argument(
         "--links",
         type=int,
-        default=1,
+        default=links,
         metavar="L",
-        help="independent links to replay (default 1)",
-    )
-    parser.add_argument(
-        "--policy",
-        choices=SERVICE_METHODS,
-        default="bahadur-rao",
-        help="admission policy (default bahadur-rao)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="shard links across N worker processes; the summary is "
-        "bit-identical to --jobs 1 (default 1)",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=20260806,
-        metavar="S",
-        help="workload seed; per-link streams are SeedSequence children",
+        help=f"independent links (default {links})",
     )
     parser.add_argument(
         "--class",
@@ -156,9 +158,15 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         type=build_class,
         metavar="NAME[:WEIGHT]",
-        help="offered class (repeatable); presets: "
+        help="offered (declared) class (repeatable); presets: "
         + ", ".join(f"{k} = {v}" for k, v in sorted(CLASS_PRESETS.items()))
-        + " (default: video)",
+        + f" (default: {default_class})",
+    )
+    parser.add_argument(
+        "--policy",
+        choices=SERVICE_METHODS,
+        default="bahadur-rao",
+        help="admission policy (default bahadur-rao)",
     )
     parser.add_argument(
         "--capacity-mbps",
@@ -181,20 +189,34 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="P",
         help="QoS cell loss rate target (default 1e-6)",
     )
+
+
+def add_run_arguments(
+    parser: argparse.ArgumentParser, *, requests: int
+) -> None:
+    """The run: requests per link, workers, seed, mean holding time."""
     parser.add_argument(
-        "--erlangs",
-        type=float,
-        default=None,
-        metavar="A",
-        help="offered load in Erlangs per link (default: 1.2x the "
-        "admissible-N boundary, i.e. deliberately overloaded)",
+        "--requests",
+        type=int,
+        default=requests,
+        metavar="N",
+        help=f"connection requests per link (per rho point in a sweep; "
+        f"default {requests})",
     )
     parser.add_argument(
-        "--arrival-rate",
-        type=float,
-        default=None,
-        metavar="RATE",
-        help="connection arrivals/second per link (overrides --erlangs)",
+        "--jobs",
+        type=int,
+        default=1,
+        metavar="N",
+        help="run links (or shards) across N worker processes; the "
+        "decision counters are bit-identical to --jobs 1 (default 1)",
+    )
+    parser.add_argument(
+        "--seed",
+        type=int,
+        default=20260806,
+        metavar="S",
+        help="workload seed; per-link streams are SeedSequence children",
     )
     parser.add_argument(
         "--holding-mean",
@@ -203,6 +225,10 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="mean connection holding time (default 90 s)",
     )
+
+
+def add_holding_law_arguments(parser: argparse.ArgumentParser) -> None:
+    """The holding-time law: exponential, or heavy-tailed."""
     parser.add_argument(
         "--heavy-tailed",
         action="store_true",
@@ -217,12 +243,26 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="G",
         help="tail exponent for --heavy-tailed, in (1, 2) (default 1.5)",
     )
+
+
+def add_replay_arguments(
+    parser: argparse.ArgumentParser, *, load_factor: float
+) -> None:
+    """A replay's offered load (:func:`offered_arrival_rate`) and outputs."""
     parser.add_argument(
-        "--table-cache",
-        metavar="FILE",
+        "--erlangs",
+        type=float,
         default=None,
-        help="persist decision tables as JSONL at FILE (warmed before "
-        "the replay; workers load it read-only)",
+        metavar="A",
+        help=f"offered load in Erlangs per link (default: {load_factor}x "
+        "the first class's admissible-N boundary)",
+    )
+    parser.add_argument(
+        "--arrival-rate",
+        type=float,
+        default=None,
+        metavar="RATE",
+        help="connection arrivals/second per link (overrides --erlangs)",
     )
     parser.add_argument(
         "--summary-out",
@@ -236,6 +276,229 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="collect telemetry and print the span/metrics summary",
     )
+
+
+def add_engine_arguments(parser: argparse.ArgumentParser) -> None:
+    """The decision-table cache file and the overload policy."""
+    parser.add_argument(
+        "--table-cache",
+        metavar="FILE",
+        default=None,
+        help="persist decision tables as JSONL at FILE (warmed once "
+        "before the run; workers load it read-only)",
+    )
+    overload = parser.add_argument_group("overload policy")
+    overload.add_argument(
+        "--max-queue",
+        type=int,
+        default=None,
+        metavar="DEPTH",
+        help="bound each link's admission queue at DEPTH outstanding "
+        "decisions; arrivals past the bound are shed deterministically",
+    )
+    overload.add_argument(
+        "--decision-rate",
+        type=float,
+        default=None,
+        metavar="PER_SEC",
+        help="modelled decision service rate (decisions/second on the "
+        "workload clock); required for --max-queue to ever shed",
+    )
+    overload.add_argument(
+        "--breaker-cooldown",
+        type=int,
+        default=64,
+        metavar="N",
+        help="requests the circuit breaker stays open before probing "
+        "the primary policy again (default 64)",
+    )
+
+
+def add_rho_argument(
+    parser: argparse.ArgumentParser, *, grid: Sequence[float]
+) -> None:
+    """The utilization grid of a sweep (see :func:`rho_grid`)."""
+    parser.add_argument(
+        "--rho",
+        action="append",
+        type=float,
+        metavar="R",
+        help="utilization grid point; offered load is rho x admissible "
+        "N Erlangs (repeatable; default "
+        + " ".join(str(r) for r in grid)
+        + ")",
+    )
+
+
+def add_regime_plan_argument(parser: argparse.ArgumentParser) -> None:
+    """The nonstationary traffic schedule."""
+    parser.add_argument(
+        "--regime-plan",
+        metavar="PLAN",
+        default=None,
+        help="true-traffic schedule 'name@start[xMULT],...' over the "
+        "request index, e.g. conference@0,video@10000x1.5 (see "
+        "repro.adaptive.nonstationary); MULT scales the arrival rate "
+        "(default: stationary)",
+    )
+
+
+def add_timings_argument(parser: argparse.ArgumentParser) -> None:
+    """The timings ledger row (see :func:`append_timings`)."""
+    parser.add_argument(
+        "--timings",
+        metavar="FILE",
+        default=None,
+        help="append a schema-2 throughput row to this timings.jsonl "
+        "(rides the obs compare perf gate)",
+    )
+
+
+# -- what the shared flags configure ------------------------------------------
+
+
+@contextmanager
+def usage_errors(parser: argparse.ArgumentParser) -> Iterator[None]:
+    """Report a ReproError raised in the block as a usage error (exit 2)."""
+    try:
+        yield
+    except ReproError as exc:
+        parser.error(str(exc))
+
+
+def check_counts(args: argparse.Namespace) -> None:
+    """The verb's ``--requests``/``--links``/``--jobs``/``--shards``, >= 1."""
+    for flag in ("requests", "links", "jobs", "shards"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 1:
+            raise ParameterError(f"--{flag} must be >= 1, got {value}")
+
+
+def operating_point(
+    args: argparse.Namespace, *, default_class: str = "video"
+) -> Tuple[List[ConnectionClass], float, QoSRequirement]:
+    """The offered classes, link capacity (cells/frame) and QoS contract."""
+    classes = args.classes or [build_class(default_class)]
+    capacity = mbps_to_cells_per_frame(args.capacity_mbps)
+    qos = QoSRequirement(
+        max_delay_seconds=args.delay_ms / 1000.0, max_clr=args.clr
+    )
+    return classes, capacity, qos
+
+
+def build_overload(args: argparse.Namespace) -> Optional[OverloadPolicy]:
+    """The overload policy ``--max-queue`` arms (None without it)."""
+    if args.max_queue is None:
+        return None
+    if args.decision_rate is not None and args.decision_rate <= 0:
+        raise ParameterError("--decision-rate must be > 0")
+    return OverloadPolicy(
+        max_queue_depth=args.max_queue,
+        decision_seconds=(
+            1.0 / args.decision_rate
+            if args.decision_rate is not None
+            else 0.0
+        ),
+        breaker_cooldown=args.breaker_cooldown,
+    )
+
+
+def offered_arrival_rate(
+    args: argparse.Namespace, admissible: int, *, load_factor: float
+) -> float:
+    """``--arrival-rate``, else the ``--erlangs`` load over the holding mean.
+
+    ``--erlangs`` defaults to ``load_factor`` times the first class's
+    admissible N.
+    """
+    if args.arrival_rate is not None:
+        return args.arrival_rate
+    erlangs = (
+        args.erlangs
+        if args.erlangs is not None
+        else load_factor * max(admissible, 1)
+    )
+    return erlangs / args.holding_mean
+
+
+def rho_grid(
+    args: argparse.Namespace, default: Sequence[float]
+) -> Tuple[float, ...]:
+    """The ``--rho`` points (else ``default``), checked before any work."""
+    grid = tuple(args.rho) if args.rho else tuple(default)
+    for rho in grid:
+        if rho <= 0:
+            raise ParameterError(f"--rho must be > 0, got {rho}")
+    return grid
+
+
+def regime_candidates(
+    classes: Sequence[ConnectionClass], plan
+) -> Tuple[ConnectionClass, ...]:
+    """``classes`` plus every preset the regime plan names beyond them.
+
+    The added presets follow the plan's order, so the adaptive
+    estimator breaks matching ties the same way on every run.
+    """
+    candidates = list(classes)
+    known = {cls.name for cls in candidates}
+    for regime in plan.regimes:
+        if regime.class_name not in known:
+            try:
+                candidates.append(build_class(regime.class_name))
+            except argparse.ArgumentTypeError as exc:
+                raise ParameterError(str(exc)) from None
+            known.add(regime.class_name)
+    return tuple(candidates)
+
+
+def append_timings(
+    path: str,
+    *,
+    experiment: str,
+    scale: str,
+    jobs: int,
+    walls: Sequence[float],
+    requests: int,
+    **extra,
+) -> None:
+    """Append one schema-2 row: one round per wall-clock in ``walls``."""
+    total_wall = sum(walls)
+    obs.timings.append_timing_row(
+        path,
+        {
+            "experiment": experiment,
+            "scale": scale,
+            "jobs": jobs,
+            "rounds": len(walls),
+            "mean_s": total_wall / len(walls),
+            "min_s": min(walls),
+            "max_s": max(walls),
+            "stddev_s": None,
+            "requests": requests,
+            "requests_per_s": requests / total_wall if total_wall else 0.0,
+            **extra,
+        },
+    )
+    print(f"[timings row appended to {path}]")
+
+
+# -- the workload verb --------------------------------------------------------
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro-workload",
+        description=(
+            "Replay a synthetic connection workload through the online "
+            "admission-control engine"
+        ),
+    )
+    add_link_arguments(parser, links=1)
+    add_run_arguments(parser, requests=10_000)
+    add_holding_law_arguments(parser)
+    add_replay_arguments(parser, load_factor=1.2)
+    add_engine_arguments(parser)
     fault = parser.add_argument_group(
         "fault tolerance (docs/ROBUSTNESS.md)"
     )
@@ -290,31 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="base restart backoff, doubled per attempt (default 0: "
         "restart immediately — journal recovery is deterministic)",
     )
-    overload = parser.add_argument_group("overload policy")
-    overload.add_argument(
-        "--max-queue",
-        type=int,
-        default=None,
-        metavar="DEPTH",
-        help="bound the admission queue at DEPTH outstanding decisions; "
-        "arrivals past the bound are shed deterministically",
-    )
-    overload.add_argument(
-        "--decision-rate",
-        type=float,
-        default=None,
-        metavar="PER_SEC",
-        help="modelled decision service rate (decisions/second on the "
-        "workload clock); required for --max-queue to ever shed",
-    )
-    overload.add_argument(
-        "--breaker-cooldown",
-        type=int,
-        default=64,
-        metavar="N",
-        help="requests the circuit breaker stays open before probing "
-        "the primary policy again (default 64)",
-    )
     chaos = parser.add_argument_group(
         "chaos injection (deterministic; requires --supervise)"
     )
@@ -350,12 +588,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.requests < 1:
-        parser.error(f"--requests must be >= 1, got {args.requests}")
-    if args.links < 1:
-        parser.error(f"--links must be >= 1, got {args.links}")
-    if args.jobs < 1:
-        parser.error(f"--jobs must be >= 1, got {args.jobs}")
+    with usage_errors(parser):
+        check_counts(args)
+        supervision = None
+        if args.supervise:
+            supervision = SupervisionPolicy(
+                max_restarts=args.max_restarts,
+                shard_timeout_seconds=args.shard_timeout,
+                heartbeat_seconds=args.heartbeat,
+                backoff_seconds=args.backoff,
+            )
+        overload = build_overload(args)
+        classes, capacity, qos = operating_point(args)
 
     crash = _parse_chaos(args.chaos_crash, 3, "--chaos-crash", parser)
     hang = _parse_chaos(args.chaos_hang, 4, "--chaos-hang", parser)
@@ -390,58 +634,24 @@ def main(argv: Optional[List[str]] = None) -> int:
             table_corrupt_at=table_faults,
         )
 
-    supervision = None
-    if args.supervise:
-        supervision = SupervisionPolicy(
-            max_restarts=args.max_restarts,
-            shard_timeout_seconds=args.shard_timeout,
-            heartbeat_seconds=args.heartbeat,
-            backoff_seconds=args.backoff,
-        )
-    overload = None
-    if args.max_queue is not None:
-        if args.decision_rate is not None and args.decision_rate <= 0:
-            parser.error("--decision-rate must be > 0")
-        overload = OverloadPolicy(
-            max_queue_depth=args.max_queue,
-            decision_seconds=(
-                1.0 / args.decision_rate
-                if args.decision_rate is not None
-                else 0.0
-            ),
-            breaker_cooldown=args.breaker_cooldown,
-        )
-
-    classes = args.classes or [build_class("video")]
-    capacity = mbps_to_cells_per_frame(args.capacity_mbps)
-    qos = QoSRequirement(
-        max_delay_seconds=args.delay_ms / 1000.0, max_clr=args.clr
-    )
-
     if args.trace:
         obs.enable()
         obs.reset()
 
-    # Warm the decision table for the first class once in the parent:
-    # it pins the boundary the default offered load is derived from,
-    # and (with --table-cache) seeds the file every link then loads.
-    tables = DecisionTableCache(path=args.table_cache)
-    boundary = tables.lookup(classes[0].model, capacity, qos, args.policy)
-
-    if args.arrival_rate is not None:
-        arrival_rate = args.arrival_rate
-    else:
-        erlangs = (
-            args.erlangs
-            if args.erlangs is not None
-            else 1.2 * max(boundary.admissible, 1)
+    with usage_errors(parser):
+        # Warm the decision table for the first class once in the
+        # parent: it pins the boundary the default offered load is
+        # derived from, and (with --table-cache) seeds the file every
+        # link then loads.
+        tables = DecisionTableCache(path=args.table_cache)
+        boundary = tables.lookup(
+            classes[0].model, capacity, qos, args.policy
         )
-        arrival_rate = erlangs / args.holding_mean
-
-    try:
         spec = WorkloadSpec(
             n_requests=args.requests,
-            arrival_rate=arrival_rate,
+            arrival_rate=offered_arrival_rate(
+                args, boundary.admissible, load_factor=1.2
+            ),
             mean_holding_time=args.holding_mean,
             holding="heavy-tailed" if args.heavy_tailed else "exponential",
             tail_gamma=args.tail_gamma,
@@ -462,8 +672,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             overload=overload,
             faults=faults,
         )
-    except ReproError as exc:
-        parser.error(str(exc))
 
     print(format_summary(summary))
     if args.trace:

@@ -21,7 +21,7 @@ p50/p99/p999 admit latency from the merged
 drive rho past 1 and the shed/breaker counters follow the documented
 backpressure contract (``docs/ROBUSTNESS.md``) byte-for-byte.
 ``--report-out`` writes the machine-readable report
-(``kind: latency_vs_rho``, same shape as ``obs sweep --json``);
+(``kind: latency_vs_rho``, the shape of the ``obs sweep --out`` report);
 ``--timings`` appends a schema-2 row to ``timings.jsonl`` so the
 sweep's throughput rides the existing ``obs compare`` perf gate.
 """
@@ -34,14 +34,10 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.atm.qos import QoSRequirement
-from repro.exceptions import ReproError
-from repro.service.cli import CLASS_PRESETS, build_class
+from repro.exceptions import ParameterError
+from repro.service import cli as service_cli
 from repro.service.drive import DriveReport, drive
 from repro.service.frontend import AdmissionFrontend, FrontendServer
-from repro.service.overload import OverloadPolicy
-from repro.service.tables import SERVICE_METHODS
-from repro.utils.units import mbps_to_cells_per_frame
 
 __all__ = ["build_parser", "format_drive_report", "main"]
 
@@ -49,14 +45,8 @@ DEFAULT_RHO_GRID = (0.6, 0.8, 0.9, 0.95, 0.99)
 
 
 def _add_shared_arguments(parser: argparse.ArgumentParser) -> None:
-    """Flags both verbs share, matching the ``workload`` conventions."""
-    parser.add_argument(
-        "--links",
-        type=int,
-        default=4,
-        metavar="L",
-        help="independent links the frontend serves (default 4)",
-    )
+    """Flags both verbs share: the operating point, shards and engine."""
+    service_cli.add_link_arguments(parser, links=4)
     parser.add_argument(
         "--shards",
         type=int,
@@ -65,75 +55,7 @@ def _add_shared_arguments(parser: argparse.ArgumentParser) -> None:
         help="consistent-hash shards (serve: default 1; drive: "
         "default --jobs)",
     )
-    parser.add_argument(
-        "--class",
-        dest="classes",
-        action="append",
-        type=build_class,
-        metavar="NAME[:WEIGHT]",
-        help="offered class (repeatable); presets: "
-        + ", ".join(f"{k} = {v}" for k, v in sorted(CLASS_PRESETS.items()))
-        + " (default: video)",
-    )
-    parser.add_argument(
-        "--policy",
-        choices=SERVICE_METHODS,
-        default="bahadur-rao",
-        help="admission policy (default bahadur-rao)",
-    )
-    parser.add_argument(
-        "--capacity-mbps",
-        type=float,
-        default=155.52,
-        metavar="MBPS",
-        help="link rate in Mbit/s (default 155.52, OC-3)",
-    )
-    parser.add_argument(
-        "--delay-ms",
-        type=float,
-        default=20.0,
-        metavar="MS",
-        help="per-node QoS delay budget (default 20 msec)",
-    )
-    parser.add_argument(
-        "--clr",
-        type=float,
-        default=1e-6,
-        metavar="P",
-        help="QoS cell loss rate target (default 1e-6)",
-    )
-    parser.add_argument(
-        "--table-cache",
-        metavar="FILE",
-        default=None,
-        help="persist decision tables as JSONL at FILE (warmed before "
-        "the snapshot is published)",
-    )
-    overload = parser.add_argument_group("overload policy")
-    overload.add_argument(
-        "--max-queue",
-        type=int,
-        default=None,
-        metavar="DEPTH",
-        help="bound each link's admission queue at DEPTH outstanding "
-        "decisions; arrivals past the bound are shed deterministically",
-    )
-    overload.add_argument(
-        "--decision-rate",
-        type=float,
-        default=None,
-        metavar="PER_SEC",
-        help="modelled decision service rate (decisions/second on the "
-        "workload clock); required for --max-queue to ever shed",
-    )
-    overload.add_argument(
-        "--breaker-cooldown",
-        type=int,
-        default=64,
-        metavar="N",
-        help="requests the circuit breaker stays open before probing "
-        "the primary policy again (default 64)",
-    )
+    service_cli.add_engine_arguments(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -168,102 +90,23 @@ def build_parser() -> argparse.ArgumentParser:
         help="open-loop rho sweep against the sharded frontend",
     )
     _add_shared_arguments(drive_parser)
-    drive_parser.add_argument(
-        "--rho",
-        action="append",
-        type=float,
-        metavar="R",
-        help="utilization grid point; offered load is rho x admissible "
-        "N Erlangs (repeatable; default "
-        + " ".join(str(r) for r in DEFAULT_RHO_GRID)
-        + ")",
-    )
-    drive_parser.add_argument(
-        "--requests",
-        type=int,
-        default=10_000,
-        metavar="N",
-        help="connection requests per link per rho point (default 10000)",
-    )
-    drive_parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="run shards across N worker processes; per-link counters "
-        "are byte-identical to --jobs 1 (default 1)",
-    )
-    drive_parser.add_argument(
-        "--seed",
-        type=int,
-        default=20260806,
-        metavar="S",
-        help="workload seed; per-link streams are SeedSequence children",
-    )
-    drive_parser.add_argument(
-        "--holding-mean",
-        type=float,
-        default=90.0,
-        metavar="SECONDS",
-        help="mean connection holding time (default 90 s)",
-    )
-    drive_parser.add_argument(
-        "--heavy-tailed",
-        action="store_true",
-        help="draw holding times from the heavy-tailed "
-        "(exponential-body/Pareto-tail) session law instead of "
-        "exponential",
-    )
-    drive_parser.add_argument(
-        "--tail-gamma",
-        type=float,
-        default=1.5,
-        metavar="G",
-        help="tail exponent for --heavy-tailed, in (1, 2) (default 1.5)",
-    )
-    drive_parser.add_argument(
-        "--regime-plan",
-        metavar="PLAN",
-        default=None,
-        help="nonstationary regime schedule 'name@start[xMULT],...' "
-        "(see repro.adaptive.nonstationary); the per-regime rate "
-        "multiplier scales the rho-derived arrival rate",
-    )
+    service_cli.add_rho_argument(drive_parser, grid=DEFAULT_RHO_GRID)
+    service_cli.add_run_arguments(drive_parser, requests=10_000)
+    service_cli.add_holding_law_arguments(drive_parser)
+    service_cli.add_regime_plan_argument(drive_parser)
     drive_parser.add_argument(
         "--report-out",
         metavar="FILE",
         default=None,
         help="write the latency-vs-rho report as JSON to FILE",
     )
-    drive_parser.add_argument(
-        "--timings",
-        metavar="FILE",
-        default=None,
-        help="append a schema-2 throughput row to this timings.jsonl "
-        "(rides the obs compare perf gate)",
-    )
+    service_cli.add_timings_argument(drive_parser)
     drive_parser.add_argument(
         "--json",
         action="store_true",
         help="print the report as JSON instead of the table",
     )
     return parser
-
-
-def _overload_from_args(args, parser) -> Optional[OverloadPolicy]:
-    if args.max_queue is None:
-        return None
-    if args.decision_rate is not None and args.decision_rate <= 0:
-        parser.error("--decision-rate must be > 0")
-    return OverloadPolicy(
-        max_queue_depth=args.max_queue,
-        decision_seconds=(
-            1.0 / args.decision_rate
-            if args.decision_rate is not None
-            else 0.0
-        ),
-        breaker_cooldown=args.breaker_cooldown,
-    )
 
 
 def _fmt_ns(value: Optional[float]) -> str:
@@ -304,34 +147,6 @@ def format_drive_report(report: DriveReport) -> str:
     return "\n".join(lines)
 
 
-def _append_drive_timing(path: str, report: DriveReport) -> None:
-    from repro.obs.timings import append_timing_row
-
-    walls = [p.wall_seconds for p in report.points]
-    total_wall = sum(walls)
-    record = {
-        "experiment": "frontend_drive",
-        "scale": (
-            f"links{report.n_links}x{report.requests_per_link}"
-            f"@{len(report.points)}rho"
-        ),
-        "jobs": report.jobs,
-        "rounds": len(report.points),
-        "mean_s": total_wall / len(walls),
-        "min_s": min(walls),
-        "max_s": max(walls),
-        "stddev_s": None,
-        "requests": report.n_requests,
-        "requests_per_s": (
-            report.n_requests / total_wall if total_wall else 0.0
-        ),
-        "shards": report.n_shards,
-        "boundary_violations": report.boundary_violations,
-    }
-    append_timing_row(path, record)
-    print(f"[timings row appended to {path}]")
-
-
 async def _serve(frontend: AdmissionFrontend, host: str, port: int) -> None:
     server = FrontendServer(frontend, host=host, port=port)
     await server.start()
@@ -348,64 +163,49 @@ async def _serve(frontend: AdmissionFrontend, host: str, port: int) -> None:
 
 
 def _cmd_serve(args, parser) -> int:
-    classes = args.classes or [build_class("video")]
-    capacity = mbps_to_cells_per_frame(args.capacity_mbps)
-    qos = QoSRequirement(
-        max_delay_seconds=args.delay_ms / 1000.0, max_clr=args.clr
-    )
-    overload = _overload_from_args(args, parser)
-    link_ids = [f"link-{i}" for i in range(args.links)]
-    try:
-        with AdmissionFrontend(
-            classes,
-            link_ids,
-            capacity=capacity,
-            qos=qos,
-            policy=args.policy,
-            n_shards=args.shards if args.shards is not None else 1,
-            overload=overload,
-            table_path=args.table_cache,
-        ) as frontend:
-            asyncio.run(_serve(frontend, args.host, args.port))
-    except KeyboardInterrupt:
-        print("frontend stopped")
-    except ReproError as exc:
-        parser.error(str(exc))
+    with service_cli.usage_errors(parser):
+        if not 0 <= args.port <= 65535:
+            raise ParameterError(
+                f"--port must be in 0-65535, got {args.port}"
+            )
+        classes, capacity, qos = service_cli.operating_point(args)
+        overload = service_cli.build_overload(args)
+        try:
+            with AdmissionFrontend(
+                classes,
+                [f"link-{i}" for i in range(args.links)],
+                capacity=capacity,
+                qos=qos,
+                policy=args.policy,
+                n_shards=args.shards if args.shards is not None else 1,
+                overload=overload,
+                table_path=args.table_cache,
+            ) as frontend:
+                asyncio.run(_serve(frontend, args.host, args.port))
+        except KeyboardInterrupt:
+            print("frontend stopped")
     return 0
 
 
 def _cmd_drive(args, parser) -> int:
-    classes = args.classes or [build_class("video")]
-    capacity = mbps_to_cells_per_frame(args.capacity_mbps)
-    qos = QoSRequirement(
-        max_delay_seconds=args.delay_ms / 1000.0, max_clr=args.clr
-    )
-    overload = _overload_from_args(args, parser)
-    rho_grid = tuple(args.rho) if args.rho else DEFAULT_RHO_GRID
-    regime_plan = None
-    regime_classes = None
-    if args.regime_plan is not None:
-        from repro.adaptive.nonstationary import parse_regime_plan
+    with service_cli.usage_errors(parser):
+        classes, capacity, qos = service_cli.operating_point(args)
+        regime_plan = None
+        regime_classes = None
+        if args.regime_plan is not None:
+            from repro.adaptive.nonstationary import parse_regime_plan
 
-        try:
             regime_plan = parse_regime_plan(args.regime_plan)
-        except ReproError as exc:
-            parser.error(str(exc))
-        known = {cls.name for cls in classes}
-        extra = sorted(
-            {r.class_name for r in regime_plan.regimes} - known
-        )
-        regime_classes = tuple(classes) + tuple(
-            build_class(name) for name in extra
-        )
-    try:
+            regime_classes = service_cli.regime_candidates(
+                classes, regime_plan
+            )
         report = drive(
             classes,
             n_links=args.links,
             capacity=capacity,
             qos=qos,
             policy=args.policy,
-            rho_grid=rho_grid,
+            rho_grid=service_cli.rho_grid(args, DEFAULT_RHO_GRID),
             requests_per_link=args.requests,
             mean_holding_time=args.holding_mean,
             holding="heavy-tailed" if args.heavy_tailed else "exponential",
@@ -413,13 +213,11 @@ def _cmd_drive(args, parser) -> int:
             n_shards=args.shards,
             seed=args.seed,
             jobs=args.jobs if args.jobs > 1 else None,
-            overload=overload,
+            overload=service_cli.build_overload(args),
             table_path=args.table_cache,
             regime_plan=regime_plan,
             regime_classes=regime_classes,
         )
-    except ReproError as exc:
-        parser.error(str(exc))
 
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
@@ -431,23 +229,29 @@ def _cmd_drive(args, parser) -> int:
             fh.write("\n")
         print(f"[report written to {args.report_out}]")
     if args.timings is not None:
-        _append_drive_timing(args.timings, report)
+        service_cli.append_timings(
+            args.timings,
+            experiment="frontend_drive",
+            scale=(
+                f"links{report.n_links}x{report.requests_per_link}"
+                f"@{len(report.points)}rho"
+            ),
+            jobs=report.jobs,
+            walls=[p.wall_seconds for p in report.points],
+            requests=report.n_requests,
+            shards=report.n_shards,
+            boundary_violations=report.boundary_violations,
+        )
     return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.links < 1:
-        parser.error(f"--links must be >= 1, got {args.links}")
-    if args.shards is not None and args.shards < 1:
-        parser.error(f"--shards must be >= 1, got {args.shards}")
+    with service_cli.usage_errors(parser):
+        service_cli.check_counts(args)
     if args.command == "serve":
         return _cmd_serve(args, parser)
-    if getattr(args, "requests", 1) < 1:
-        parser.error(f"--requests must be >= 1, got {args.requests}")
-    if getattr(args, "jobs", 1) < 1:
-        parser.error(f"--jobs must be >= 1, got {args.jobs}")
     return _cmd_drive(args, parser)
 
 

@@ -19,15 +19,33 @@ ADAPT_ARGS = [
 
 class TestParser:
     def test_defaults(self):
-        args = build_parser().parse_args([])
-        assert args.requests == 20_000
-        assert args.links == 1
-        assert args.recompute is True
-        assert args.drift_window == 256
-        assert args.drift_threshold == 8.0
-        assert args.recompute_lag == 64
-        assert args.seed == 20260806
-        assert args.regime_plan is None
+        assert vars(build_parser().parse_args([])) == {
+            "arrival_rate": None,
+            "buckets": 20,
+            "capacity_mbps": 155.52,
+            "classes": None,
+            "clr": 1e-06,
+            "clr_out": None,
+            "delay_ms": 20.0,
+            "diurnal_amplitude": 0.0,
+            "diurnal_period": 0,
+            "drift_threshold": 8.0,
+            "drift_window": 256,
+            "erlangs": None,
+            "holding_mean": 90.0,
+            "jobs": 1,
+            "links": 1,
+            "policy": "bahadur-rao",
+            "recompute": True,
+            "recompute_lag": 64,
+            "regime_plan": None,
+            "requests": 20_000,
+            "seed": 20260806,
+            "summary_out": None,
+            "timings": None,
+            "trace": False,
+            "variance_ramp": 0.0,
+        }
 
     def test_no_recompute_flag(self):
         args = build_parser().parse_args(["--no-recompute"])

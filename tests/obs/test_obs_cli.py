@@ -293,9 +293,69 @@ class TestSweep:
         assert blocking == sorted(blocking)
         assert blocking[-1] > 0.0
 
-    def test_sweep_rejects_bad_grid(self):
-        with pytest.raises(SystemExit):
-            obs_main(["sweep", "--rho", "-0.5"])
+    def test_sweep_defaults(self):
+        from repro.obs.cli import build_parser
+
+        assert vars(build_parser().parse_args(["sweep"])) == {
+            "capacity_mbps": 155.52,
+            "classes": None,
+            "clr": 1e-06,
+            "command": "sweep",
+            "delay_ms": 20.0,
+            "holding_mean": 90.0,
+            "jobs": 1,
+            "links": 1,
+            "out": None,
+            "policy": "bahadur-rao",
+            "requests": 20_000,
+            "rho": None,
+            "seed": 20260806,
+        }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--rho", "-0.5"],
+            ["--class", "nope"],
+            ["--policy", "erlang-b"],
+            ["--jobs", "0"],
+        ],
+    )
+    def test_sweep_rejects_bad_grid(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            obs_main(["sweep", *argv])
+        assert excinfo.value.code == 2
+        # Refused before the table header, and before any replay work.
+        assert capsys.readouterr().out == ""
+
+    def test_sweep_rows_match_drive(self, tmp_path, capsys):
+        from repro.experiments.runner import main as runner_main
+
+        shared = [
+            "--links", "2",
+            "--requests", "400",
+            "--class", "dar1",
+            "--rho", "0.6",
+            "--rho", "1.1",
+            "--seed", "99",
+        ]
+        sweep_path = tmp_path / "sweep.json"
+        drive_path = tmp_path / "drive.json"
+        assert obs_main(["sweep", *shared, "--out", str(sweep_path)]) == 0
+        assert (
+            runner_main(["drive", *shared, "--report-out", str(drive_path)])
+            == 0
+        )
+        keys = ("rho", "offered_erlangs", "n_requests", "blocking_probability")
+        sweep_rows = json.loads(sweep_path.read_text())["rows"]
+        drive_rows = json.loads(drive_path.read_text())["rows"]
+        assert [[row[k] for k in keys] for row in sweep_rows] == [
+            [row[k] for k in keys] for row in drive_rows
+        ]
+        for row in sweep_rows:
+            assert sorted(row["links"]) == ["link-0", "link-1"]
+            for quantiles in row["links"].values():
+                assert all(v > 0.0 for v in quantiles.values())
 
 
 class TestRunnerDelegation:

@@ -33,11 +33,39 @@ class TestClassPresets:
 
 class TestParser:
     def test_defaults(self):
-        args = build_parser().parse_args([])
-        assert args.requests == 10_000
-        assert args.links == 1
-        assert args.policy == "bahadur-rao"
-        assert args.jobs == 1
+        assert vars(build_parser().parse_args([])) == {
+            "arrival_rate": None,
+            "backoff": 0.0,
+            "breaker_cooldown": 64,
+            "capacity_mbps": 155.52,
+            "chaos_crash": None,
+            "chaos_hang": None,
+            "chaos_table_fault": None,
+            "chaos_torn_write": None,
+            "classes": None,
+            "clr": 1e-06,
+            "decision_rate": None,
+            "delay_ms": 20.0,
+            "erlangs": None,
+            "heartbeat": 0.5,
+            "heavy_tailed": False,
+            "holding_mean": 90.0,
+            "jobs": 1,
+            "journal_dir": None,
+            "links": 1,
+            "max_queue": None,
+            "max_restarts": 2,
+            "policy": "bahadur-rao",
+            "requests": 10_000,
+            "seed": 20260806,
+            "shard_timeout": None,
+            "snapshot_every": 2000,
+            "summary_out": None,
+            "supervise": False,
+            "table_cache": None,
+            "tail_gamma": 1.5,
+            "trace": False,
+        }
 
     @pytest.mark.parametrize(
         "argv",
@@ -46,11 +74,16 @@ class TestParser:
             ["--links", "0"],
             ["--jobs", "0"],
             ["--policy", "erlang-b"],
+            ["--max-queue", "-1"],
+            ["--max-queue", "4", "--breaker-cooldown", "0"],
+            ["--supervise", "--max-restarts", "-1"],
+            ["--supervise", "--heartbeat", "0"],
         ],
     )
     def test_invalid_arguments_exit(self, argv):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as excinfo:
             main(argv)
+        assert excinfo.value.code == 2
 
 
 class TestMain:

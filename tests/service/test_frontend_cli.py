@@ -27,17 +27,50 @@ SMALL = [
 
 class TestParser:
     def test_drive_defaults(self):
-        args = build_parser().parse_args(["drive"])
-        assert args.links == 4
-        assert args.requests == 10_000
-        assert args.jobs == 1
-        assert args.rho is None  # falls back to DEFAULT_RHO_GRID
+        assert vars(build_parser().parse_args(["drive"])) == {
+            "breaker_cooldown": 64,
+            "capacity_mbps": 155.52,
+            "classes": None,
+            "clr": 1e-06,
+            "command": "drive",
+            "decision_rate": None,
+            "delay_ms": 20.0,
+            "heavy_tailed": False,
+            "holding_mean": 90.0,
+            "jobs": 1,
+            "json": False,
+            "links": 4,
+            "max_queue": None,
+            "policy": "bahadur-rao",
+            "regime_plan": None,
+            "report_out": None,
+            "requests": 10_000,
+            "rho": None,  # falls back to DEFAULT_RHO_GRID
+            "seed": 20260806,
+            "shards": None,
+            "table_cache": None,
+            "tail_gamma": 1.5,
+            "timings": None,
+        }
         assert DEFAULT_RHO_GRID == (0.6, 0.8, 0.9, 0.95, 0.99)
 
     def test_serve_defaults(self):
-        args = build_parser().parse_args(["serve"])
-        assert args.host == "127.0.0.1"
-        assert args.port == 0
+        assert vars(build_parser().parse_args(["serve"])) == {
+            "breaker_cooldown": 64,
+            "capacity_mbps": 155.52,
+            "classes": None,
+            "clr": 1e-06,
+            "command": "serve",
+            "decision_rate": None,
+            "delay_ms": 20.0,
+            "host": "127.0.0.1",
+            "links": 4,
+            "max_queue": None,
+            "policy": "bahadur-rao",
+            "port": 0,
+            "shards": None,
+            "table_cache": None,
+        }
 
     def test_requires_a_verb(self):
         with pytest.raises(SystemExit):
@@ -50,11 +83,16 @@ class TestParser:
             ["drive", "--rho", "-1"],
             ["drive", "--requests", "0"],
             ["drive", "--policy", "erlang-b"],
+            ["drive", "--max-queue", "-1"],
+            ["serve", "--max-queue", "-1"],
+            ["serve", "--port", "70000"],
+            ["drive", "--regime-plan", "dar1@0,nosuch@100"],
         ],
     )
     def test_invalid_arguments_exit(self, argv):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as excinfo:
             main(argv)
+        assert excinfo.value.code == 2
 
 
 class TestDriveVerb:
