@@ -6,7 +6,7 @@ converging run and a wedged one is invisible without measurement.
 This package makes the pipeline observable:
 
 * :mod:`repro.obs.spans`    — nested timing spans (``perf_counter_ns``);
-* :mod:`repro.obs.metrics`  — counters / gauges / histograms
+* :mod:`repro.obs.metrics`  — counters / gauges / sketches
   (frames simulated, cells lost, RNG streams, busy periods);
 * :mod:`repro.obs.sketch`   — mergeable relative-error quantile
   sketches (p50/p99/p999 tail latency, bit-identical under sharding);
@@ -54,7 +54,6 @@ from repro.obs.export import (
 from repro.obs.metrics import (
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     snapshot,
 )
@@ -75,7 +74,6 @@ from repro.obs.tracectx import TraceContext, start_trace
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "ProgressReporter",
     "QuantileSketch",

@@ -261,8 +261,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             f"{_format_ns(aggregate['p0.999'])}"
         )
         if args.links > 1:
-            for link_id in sorted(links):
-                q = links[link_id]
+            for link_id, q in links.items():
                 print(
                     f"{'':>6} {link_id:>8} {'':>9} "
                     f"{_format_ns(q['p0.5'])} "

@@ -17,8 +17,6 @@ JSONL schema (one ``type`` per line)::
      "attrs": {"rep": 0}, "trace": "9f2c..."}
     {"type": "counter", "name": "frames_simulated", "value": 12000}
     {"type": "gauge", "name": "...", "value": 0.87}
-    {"type": "histogram", "name": "busy_period_frames", "count": 42,
-     "sum": 811.0, "min": 1.0, "max": 96.0, "buckets": {"1": 7, ...}}
     {"type": "sketch", "name": "service.admit_latency_ns",
      "relative_accuracy": 0.01, "count": 10000, "zero_count": 0,
      "min": ..., "max": ..., "sum_estimate": ..., "buckets": {...}}
@@ -116,7 +114,6 @@ class TelemetryDump:
     spans: List[SpanRecord] = field(default_factory=list)
     counters: Dict[str, float] = field(default_factory=dict)
     gauges: Dict[str, Optional[float]] = field(default_factory=dict)
-    histograms: Dict[str, dict] = field(default_factory=dict)
     sketches: Dict[str, dict] = field(default_factory=dict)
 
     def metric_dicts(self) -> List[dict]:
@@ -129,7 +126,6 @@ class TelemetryDump:
             {"type": "gauge", "name": name, "value": value}
             for name, value in self.gauges.items()
         )
-        dicts.extend(self.histograms.values())
         dicts.extend(self.sketches.values())
         return sorted(dicts, key=lambda d: (d["type"], d["name"]))
 
@@ -152,8 +148,6 @@ def read_jsonl(path: Union[str, Path]) -> TelemetryDump:
                 dump.counters[obj["name"]] = obj["value"]
             elif kind == "gauge":
                 dump.gauges[obj["name"]] = obj["value"]
-            elif kind == "histogram":
-                dump.histograms[obj["name"]] = obj
             elif kind == "sketch":
                 dump.sketches[obj["name"]] = obj
     return dump
@@ -231,9 +225,8 @@ def format_summary(
 
     counters = [m for m in metric_dicts if m["type"] == "counter"]
     gauges = [m for m in metric_dicts if m["type"] == "gauge"]
-    histograms = [m for m in metric_dicts if m["type"] == "histogram"]
     sketches = [m for m in metric_dicts if m["type"] == "sketch"]
-    if counters or gauges or histograms or sketches:
+    if counters or gauges or sketches:
         lines.append("")
         lines.append("metrics")
         lines.append("-------")
@@ -242,13 +235,6 @@ def format_summary(
         for m in gauges:
             value = "n/a" if m["value"] is None else f"{m['value']:.6g}"
             lines.append(f"{m['name']:<32}  {value:>16}")
-        for m in histograms:
-            count = m["count"]
-            mean = m["sum"] / count if count else float("nan")
-            lines.append(
-                f"{m['name']:<32}  n={count:,}  mean={mean:.4g}  "
-                f"min={m['min']}  max={m['max']}"
-            )
         for m in sketches:
             sketch = QuantileSketch.from_dict(m)
             quantiles = "  ".join(

@@ -1,4 +1,4 @@
-"""Counters, gauges, and histograms for simulation accounting.
+"""Counters, gauges, and quantile sketches for simulation accounting.
 
 The instruments answer the questions the paper's replication runs
 raise: how many frames were actually simulated, how many cells were
@@ -10,17 +10,16 @@ helpers is one attribute read and an early return::
     from repro.obs import metrics
 
     metrics.add("frames_simulated", n_frames)
-    metrics.observe_many("busy_period_frames", run_lengths)
+    metrics.observe_sketch_many("busy_period_frames", run_lengths)
 
-Histograms keep summary statistics plus geometric (power-of-two)
-buckets — the right resolution for heavy-tailed quantities like FBNDP
-busy periods, where linear bins either clip the tail or drown the
-body.
+Distributions go into :class:`~repro.obs.sketch.QuantileSketch` —
+relative-error buckets, the right resolution for heavy-tailed
+quantities like FBNDP busy periods, where linear bins either clip the
+tail or drown the body.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 from typing import Dict, Iterable, List, Optional, Union
 
@@ -30,16 +29,12 @@ from repro.obs.sketch import DEFAULT_RELATIVE_ACCURACY, QuantileSketch
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "QuantileSketch",
     "add",
     "counter",
     "gauge",
-    "histogram",
     "merge_snapshot",
-    "observe",
-    "observe_many",
     "observe_sketch",
     "observe_sketch_many",
     "reset_metrics",
@@ -97,108 +92,6 @@ class Gauge:
         return {"type": "gauge", "name": self.name, "value": self._value}
 
 
-def _bucket_index(value: float) -> int:
-    """Geometric bucket index: 0 for values <= 1, else ceil(log2(v))."""
-    if value <= 1.0:
-        return 0
-    return max(0, math.ceil(math.log2(value)))
-
-
-class Histogram:
-    """Summary stats + power-of-two buckets of observed values.
-
-    Bucket ``i`` counts observations in ``(2^(i-1), 2^i]`` (bucket 0
-    holds everything <= 1).  Exposed as ``{upper_bound: count}``.
-    """
-
-    __slots__ = ("name", "_lock", "_count", "_sum", "_min", "_max", "_buckets")
-
-    def __init__(self, name: str):
-        self.name = name
-        self._lock = threading.Lock()
-        self._count = 0
-        self._sum = 0.0
-        self._min = math.inf
-        self._max = -math.inf
-        self._buckets: Dict[int, int] = {}
-
-    def observe(self, value: Number) -> None:
-        self.observe_many((value,))
-
-    def observe_many(self, values: Iterable[Number]) -> None:
-        vals = [float(v) for v in values]
-        if not vals:
-            return
-        with self._lock:
-            for v in vals:
-                self._count += 1
-                self._sum += v
-                if v < self._min:
-                    self._min = v
-                if v > self._max:
-                    self._max = v
-                idx = _bucket_index(v)
-                self._buckets[idx] = self._buckets.get(idx, 0) + 1
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    @property
-    def sum(self) -> float:
-        return self._sum
-
-    @property
-    def mean(self) -> float:
-        return self._sum / self._count if self._count else math.nan
-
-    @property
-    def min(self) -> float:
-        return self._min if self._count else math.nan
-
-    @property
-    def max(self) -> float:
-        return self._max if self._count else math.nan
-
-    def buckets(self) -> Dict[float, int]:
-        """Counts keyed by bucket upper bound (2^i), ascending."""
-        with self._lock:
-            return {float(2**i): n for i, n in sorted(self._buckets.items())}
-
-    def to_dict(self) -> dict:
-        with self._lock:
-            buckets = {str(2**i): n for i, n in sorted(self._buckets.items())}
-            return {
-                "type": "histogram",
-                "name": self.name,
-                "count": self._count,
-                "sum": self._sum,
-                "min": self._min if self._count else None,
-                "max": self._max if self._count else None,
-                "buckets": buckets,
-            }
-
-    def merge_dict(self, data: dict) -> None:
-        """Fold a ``to_dict`` snapshot (e.g. from a worker) into this
-        histogram: counts and sums add, extrema widen, buckets add."""
-        count = int(data.get("count", 0))
-        if count == 0:
-            return
-        with self._lock:
-            self._count += count
-            self._sum += float(data.get("sum", 0.0))
-            low = data.get("min")
-            high = data.get("max")
-            if low is not None and float(low) < self._min:
-                self._min = float(low)
-            if high is not None and float(high) > self._max:
-                self._max = float(high)
-            for bound, n in (data.get("buckets") or {}).items():
-                # Bucket keys serialize as str(2**i); invert exactly.
-                idx = max(0, int(bound).bit_length() - 1)
-                self._buckets[idx] = self._buckets.get(idx, 0) + int(n)
-
-
 class MetricsRegistry:
     """A named collection of instruments, created on first use."""
 
@@ -224,9 +117,6 @@ class MetricsRegistry:
 
     def gauge(self, name: str) -> Gauge:
         return self._get(name, Gauge)
-
-    def histogram(self, name: str) -> Histogram:
-        return self._get(name, Histogram)
 
     def sketch(
         self,
@@ -278,9 +168,9 @@ class MetricsRegistry:
         """Fold a :meth:`snapshot` from elsewhere into this registry.
 
         Counters add, gauges adopt the shipped value (last write wins,
-        as for local sets), histograms and sketches merge counts /
-        extrema / buckets.  A shipped metric whose name is registered
-        under a different type raises :class:`TypeError`.
+        as for local sets), sketches merge counts / extrema / buckets.
+        A shipped metric whose name is registered under a different
+        type raises :class:`TypeError`.
         """
         for data in metric_dicts:
             kind = data.get("type")
@@ -296,8 +186,6 @@ class MetricsRegistry:
             elif kind == "gauge":
                 if data.get("value") is not None:
                     self.gauge(name).set(data["value"])
-            elif kind == "histogram":
-                self.histogram(name).merge_dict(data)
             elif kind == "sketch":
                 self.sketch(
                     name, data.get("relative_accuracy")
@@ -320,10 +208,6 @@ def gauge(name: str) -> Gauge:
     return REGISTRY.gauge(name)
 
 
-def histogram(name: str) -> Histogram:
-    return REGISTRY.histogram(name)
-
-
 def sketch(
     name: str, relative_accuracy: Optional[float] = None
 ) -> QuantileSketch:
@@ -342,20 +226,6 @@ def set_gauge(name: str, value: Number) -> None:
     if not _spans._ENABLED:
         return
     REGISTRY.gauge(name).set(value)
-
-
-def observe(name: str, value: Number) -> None:
-    """Record one histogram observation; no-op while disabled."""
-    if not _spans._ENABLED:
-        return
-    REGISTRY.histogram(name).observe(value)
-
-
-def observe_many(name: str, values: Iterable[Number]) -> None:
-    """Record many histogram observations; no-op while disabled."""
-    if not _spans._ENABLED:
-        return
-    REGISTRY.histogram(name).observe_many(values)
 
 
 def observe_sketch(name: str, value: Number) -> None:

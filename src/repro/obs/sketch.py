@@ -1,13 +1,12 @@
 """Mergeable relative-error quantile sketch (DDSketch-style).
 
-The power-of-two histograms of :mod:`repro.obs.metrics` answer "what
-is the body of this distribution" at ~2x resolution — far too coarse
-for the tail questions ROADMAP open item 2 asks (p99/p999 admit
-latency as utilization approaches 1).  A :class:`QuantileSketch`
-keeps log-spaced buckets of ratio ``gamma = (1 + a) / (1 - a)`` so
-that any quantile estimate is within relative error ``a`` of the
-exact order statistic, at ~1000 buckets for nine decades of dynamic
-range at the default 1% accuracy.
+Power-of-two histogram buckets answer "what is the body of this
+distribution" at ~2x resolution — far too coarse for tail questions
+such as p99/p999 admit latency as utilization approaches 1.  A
+:class:`QuantileSketch` keeps log-spaced buckets of ratio
+``gamma = (1 + a) / (1 - a)`` so that any quantile estimate is within
+relative error ``a`` of the exact order statistic, at ~1000 buckets
+for nine decades of dynamic range at the default 1% accuracy.
 
 Three properties the rest of the observability layer leans on:
 

@@ -227,9 +227,9 @@ def _window_metrics(
 ) -> List[dict]:
     """The metric deltas between two cumulative snapshots.
 
-    Counters subtract; sketches subtract bucket-exactly; gauges and
-    histograms pass through as their ``end`` value (point-in-time /
-    not needed by any SLO kind).
+    Counters subtract; sketches subtract bucket-exactly; gauges pass
+    through as their ``end`` value (point-in-time, not needed by any
+    SLO kind).
     """
     start_by_name = _index(start)
     window: List[dict] = []

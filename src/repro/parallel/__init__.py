@@ -2,9 +2,10 @@
 
 The package is deliberately below :mod:`repro.resilience` in the
 layering — backends know how to *run payloads*, not what a retry or a
-checkpoint is.  The resilience engine composes a backend with its own
-supervision; the plain fail-fast loops in
-:mod:`repro.queueing.replication` use one directly.
+checkpoint is.  Every fan-out (the fail-fast loops of
+:mod:`repro.queueing.replication`, the resilience engine, the shard
+supervisor) runs on the one loop of :mod:`repro.parallel.dispatch`
+and keeps only its own policy.
 
 Three process-lifetime disciplines:
 
@@ -14,9 +15,9 @@ Three process-lifetime disciplines:
 * :class:`WarmPoolBackend` / :func:`warm_pool` — persistent workers
   shared across sessions and callers, the default for ``jobs > 1``.
 
-Large read-only arrays cross the process boundary through
-:mod:`repro.parallel.shm` (``multiprocessing.shared_memory``
-descriptors) instead of pickles.
+Large read-only blobs (decision-table images) cross the process
+boundary through :mod:`repro.parallel.shm`
+(``multiprocessing.shared_memory`` descriptors) instead of pickles.
 """
 
 from repro.parallel.backends import (
@@ -32,15 +33,12 @@ from repro.parallel.backends import (
     use_backend,
     warm_pool,
 )
+from repro.parallel.dispatch import Hang, dispatch
 from repro.parallel.shm import (
-    SharedArray,
     SharedBlob,
-    attach_array,
     attach_blob,
     owned_segments,
-    publish_array,
     publish_blob,
-    release_attachments,
     unlink_owned,
 )
 from repro.parallel.worker import (
@@ -48,37 +46,35 @@ from repro.parallel.worker import (
     WorkerBatchResult,
     WorkerPayload,
     WorkerResult,
+    execute,
     execute_batch_payload,
     execute_payload,
     merge_result_telemetry,
     pool_entry,
-    pool_entry_batch,
 )
 
 __all__ = [
     "Backend",
     "BackendSession",
+    "Hang",
     "ProcessPoolBackend",
     "SerialBackend",
-    "SharedArray",
     "SharedBlob",
     "WarmPoolBackend",
     "WorkerBatchPayload",
     "WorkerBatchResult",
     "WorkerPayload",
     "WorkerResult",
-    "attach_array",
     "attach_blob",
+    "dispatch",
+    "execute",
     "execute_batch_payload",
     "execute_payload",
     "get_default_backend",
     "merge_result_telemetry",
     "owned_segments",
     "pool_entry",
-    "pool_entry_batch",
-    "publish_array",
     "publish_blob",
-    "release_attachments",
     "resolve_backend",
     "set_default_backend",
     "shutdown_warm_pools",

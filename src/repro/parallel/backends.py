@@ -10,9 +10,10 @@ session protocol —
         result = session.next_completed()  # blocks; completion order
 
 — and both return :class:`~repro.parallel.worker.WorkerResult`
-objects, so every consumer (the fail-fast replication loops, the
-resilience engine) is written once against the protocol and collects
-results **in completion order, pooling in replication-index order**.
+objects.  The protocol has one consumer, the loop of
+:mod:`repro.parallel.dispatch`, which every fan-out runs on: results
+are collected **in completion order, pooled in replication-index
+order**.
 That discipline is the determinism contract: the pooled CLR, the
 summary fields, and the checkpoint file of a parallel run are
 bit-identical to a serial run on the same seed, regardless of which
@@ -47,13 +48,10 @@ from typing import Iterator, Optional
 from repro.exceptions import ParameterError
 from repro.obs import tracectx as _tracectx
 from repro.parallel.worker import (
-    WorkerBatchPayload,
     WorkerPayload,
     WorkerResult,
-    execute_batch_payload,
-    execute_payload,
+    execute,
     pool_entry,
-    pool_entry_batch,
 )
 from repro.utils.validation import check_integer
 
@@ -132,10 +130,7 @@ class _SerialSession(BackendSession):
         # finished), so it is accepted and ignored.
         if not self._queue:
             raise RuntimeError("no payloads pending in this session")
-        payload = self._queue.popleft()
-        if isinstance(payload, WorkerBatchPayload):
-            return execute_batch_payload(payload)
-        return execute_payload(payload)
+        return execute(self._queue.popleft())
 
     @property
     def pending(self) -> int:
@@ -166,8 +161,8 @@ class _PoolSession(BackendSession):
         self._executor = executor
         self._futures: dict = {}  # future -> (index, attempt)
 
-    def _prepare(self, payload: WorkerPayload):
-        """Trace-stamp the payload and pick its pool entry point."""
+    def _prepare(self, payload: WorkerPayload) -> WorkerPayload:
+        """Trace-stamp the payload for the worker."""
         # Capture the ambient trace context at submit time so the
         # worker's spans join the supervising span's trace; an
         # explicitly provided context is left untouched.
@@ -175,16 +170,11 @@ class _PoolSession(BackendSession):
             context = _tracectx.inject()
             if context is not None:
                 payload = dataclasses.replace(payload, trace=context)
-        entry = (
-            pool_entry_batch
-            if isinstance(payload, WorkerBatchPayload)
-            else pool_entry
-        )
-        return payload, entry
+        return payload
 
     def submit(self, payload: WorkerPayload) -> None:
-        payload, entry = self._prepare(payload)
-        future = self._executor.submit(entry, payload)
+        payload = self._prepare(payload)
+        future = self._executor.submit(pool_entry, payload)
         self._futures[future] = (payload.index, payload.attempt)
 
     def next_completed(
@@ -298,25 +288,25 @@ class _WarmPoolSession(_PoolSession):
     def __init__(self, backend: "WarmPoolBackend"):
         super().__init__(backend._ensure_executor())
         self._backend = backend
-        #: future -> (entry, payload): enough to resubmit verbatim.
+        #: future -> (payload, executor): enough to resubmit verbatim.
         self._records: dict = {}
 
-    def _submit_future(self, entry, payload):
+    def _submit_future(self, payload):
         """Submit, reacquiring the executor if the reaper beat us."""
         try:
-            return self._executor.submit(entry, payload)
+            return self._executor.submit(pool_entry, payload)
         except RuntimeError:
             # Either the reaper shut this executor down in the submit
             # window, or a worker death broke it; both restart
             # transparently (``_ensure_executor`` discards wrecks).
             self._executor = self._backend._ensure_executor()
-            return self._executor.submit(entry, payload)
+            return self._executor.submit(pool_entry, payload)
 
     def submit(self, payload: WorkerPayload) -> None:
-        payload, entry = self._prepare(payload)
-        future = self._submit_future(entry, payload)
+        payload = self._prepare(payload)
+        future = self._submit_future(payload)
         self._futures[future] = (payload.index, payload.attempt)
-        self._records[future] = (entry, payload, self._executor)
+        self._records[future] = (payload, self._executor)
 
     #: Upper bound on one internal wait slice.  A future the reaper
     #: cancelled dies in state CANCELLED *without* the notify step
@@ -356,7 +346,7 @@ class _WarmPoolSession(_PoolSession):
                 continue
             future = min(done, key=self._futures.__getitem__)
             del self._futures[future]
-            entry, payload, executor = self._records.pop(future)
+            payload, executor = self._records.pop(future)
             try:
                 return future.result()
             except (
@@ -368,16 +358,12 @@ class _WarmPoolSession(_PoolSession):
                 # The payload was a bystander of the idle reap:
                 # resubmit it on the restarted pool and keep waiting.
                 self._executor = self._backend._ensure_executor()
-                replacement = self._submit_future(entry, payload)
+                replacement = self._submit_future(payload)
                 self._futures[replacement] = (
                     payload.index,
                     payload.attempt,
                 )
-                self._records[replacement] = (
-                    entry,
-                    payload,
-                    self._executor,
-                )
+                self._records[replacement] = (payload, self._executor)
 
     def abandon(self) -> None:
         """Drop this session's claim on its futures.

@@ -1,10 +1,10 @@
 """Shared-memory transport for large read-only payload components.
 
-Worker payloads that carry megabytes — frame arrays, decision-table
-snapshots — pay a pickle + pipe-copy tax per task under the process
-backends.  This module publishes such data *once* through
+Worker payloads that carry megabytes — decision-table snapshots —
+pay a pickle + pipe-copy tax per task under the process backends.
+This module publishes such a blob *once* through
 ``multiprocessing.shared_memory`` and ships a tiny picklable
-descriptor instead; every worker on the machine maps the same pages.
+descriptor instead; every worker on the machine reads the same pages.
 
 Lifecycle contract (the part that goes wrong in the wild):
 
@@ -39,17 +39,11 @@ import threading
 from multiprocessing import shared_memory
 from typing import Optional, Tuple
 
-import numpy as np
-
 __all__ = [
-    "SharedArray",
     "SharedBlob",
-    "attach_array",
     "attach_blob",
     "owned_segments",
-    "publish_array",
     "publish_blob",
-    "release_attachments",
     "unlink_owned",
 ]
 
@@ -58,7 +52,6 @@ SEGMENT_PREFIX = "repro_shm_"
 
 _lock = threading.Lock()
 _owned: dict = {}  # name -> handle (this process published it)
-_attached: dict = {}  # name -> SharedMemory (this process mapped it)
 
 
 def _new_segment(nbytes: int) -> shared_memory.SharedMemory:
@@ -72,18 +65,18 @@ def _new_segment(nbytes: int) -> shared_memory.SharedMemory:
             continue
 
 
-class _SharedSegment:
-    """Owner-side handle; subclasses fix the payload interpretation."""
+class SharedBlob:
+    """Owner-side handle on a byte string published once."""
 
-    kind = "segment"
-
-    def __init__(self, segment: shared_memory.SharedMemory):
+    def __init__(self, segment: shared_memory.SharedMemory, size: int):
         self._segment: Optional[shared_memory.SharedMemory] = segment
         self.name = segment.name
+        self.size = int(size)
 
     @property
     def descriptor(self) -> dict:
-        raise NotImplementedError
+        """Picklable address of the data — ship this, not the bytes."""
+        return {"kind": "blob", "name": self.name, "size": self.size}
 
     def unlink(self) -> None:
         """Close and remove the segment (idempotent)."""
@@ -107,66 +100,6 @@ class _SharedSegment:
         self.unlink()
 
 
-class SharedArray(_SharedSegment):
-    """An ndarray published once, mappable read-only by any process."""
-
-    kind = "array"
-
-    def __init__(self, segment, shape: Tuple[int, ...], dtype: str):
-        super().__init__(segment)
-        self.shape = tuple(int(n) for n in shape)
-        self.dtype = dtype
-
-    @property
-    def descriptor(self) -> dict:
-        """Picklable address of the data — ship this, not the array."""
-        return {
-            "kind": "array",
-            "name": self.name,
-            "shape": self.shape,
-            "dtype": self.dtype,
-        }
-
-    def asarray(self) -> np.ndarray:
-        """The owner's own read-only view of the published data."""
-        if self._segment is None:
-            raise ValueError(f"shared array {self.name} already unlinked")
-        view = np.ndarray(
-            self.shape, dtype=np.dtype(self.dtype), buffer=self._segment.buf
-        )
-        view.flags.writeable = False
-        return view
-
-
-class SharedBlob(_SharedSegment):
-    """An opaque byte string published once (pickled snapshots etc.)."""
-
-    kind = "blob"
-
-    def __init__(self, segment, size: int):
-        super().__init__(segment)
-        self.size = int(size)
-
-    @property
-    def descriptor(self) -> dict:
-        return {"kind": "blob", "name": self.name, "size": self.size}
-
-
-def publish_array(array: np.ndarray) -> SharedArray:
-    """Copy ``array`` into a fresh shared segment owned by this process."""
-    source = np.ascontiguousarray(array)
-    segment = _new_segment(source.nbytes)
-    if source.nbytes:
-        staged = np.ndarray(
-            source.shape, dtype=source.dtype, buffer=segment.buf
-        )
-        staged[...] = source
-    handle = SharedArray(segment, source.shape, source.dtype.str)
-    with _lock:
-        _owned[handle.name] = handle
-    return handle
-
-
 def publish_blob(data: bytes) -> SharedBlob:
     """Copy ``data`` into a fresh shared segment owned by this process."""
     segment = _new_segment(len(data))
@@ -181,31 +114,6 @@ def _owner_segment(name: str) -> Optional[shared_memory.SharedMemory]:
     with _lock:
         handle = _owned.get(name)
     return None if handle is None else handle._segment
-
-
-def attach_array(descriptor: dict) -> np.ndarray:
-    """Map a published array read-only; cached per segment.
-
-    In the owning process this reuses the owner's mapping (attaching a
-    second tracked mapping would corrupt the tracker bookkeeping); in
-    a worker the mapping is cached until :func:`release_attachments`
-    or process exit.
-    """
-    name = descriptor["name"]
-    segment = _owner_segment(name)
-    if segment is None:
-        with _lock:
-            segment = _attached.get(name)
-            if segment is None:
-                segment = shared_memory.SharedMemory(name=name)
-                _attached[name] = segment
-    view = np.ndarray(
-        tuple(descriptor["shape"]),
-        dtype=np.dtype(descriptor["dtype"]),
-        buffer=segment.buf,
-    )
-    view.flags.writeable = False
-    return view
 
 
 def attach_blob(descriptor: dict) -> bytes:
@@ -233,18 +141,6 @@ def owned_segments() -> Tuple[str, ...]:
         return tuple(_owned)
 
 
-def release_attachments() -> None:
-    """Close every cached worker-side mapping (frees the numpy views)."""
-    with _lock:
-        segments, _attached_snapshot = list(_attached.values()), None
-        _attached.clear()
-    for segment in segments:
-        try:
-            segment.close()
-        except Exception:  # pragma: no cover — buffer still referenced
-            pass
-
-
 def unlink_owned() -> None:
     """Unlink every segment this process still owns (atexit, tests)."""
     with _lock:
@@ -253,9 +149,4 @@ def unlink_owned() -> None:
         handle.unlink()
 
 
-def _atexit_cleanup() -> None:
-    release_attachments()
-    unlink_owned()
-
-
-atexit.register(_atexit_cleanup)
+atexit.register(unlink_owned)

@@ -3,13 +3,14 @@
 A :class:`WorkerPayload` is one replication attempt: the picklable
 task object, the replication's own RNG stream, and flags describing
 what the worker must do around it (telemetry capture, the engine's
-health checks).  :func:`execute_payload` runs one payload *in the
-current process* — the serial backend calls it directly, so inline
-execution writes spans and metrics straight into the ambient
-collectors.  :func:`pool_entry` is the function a process pool
-actually executes: it configures process-local telemetry to mirror
-the parent's, runs the payload, and captures the spans/metrics the
-attempt produced so the parent can merge them into its exporter.
+health checks); a :class:`WorkerBatchPayload` is a block of them.
+:func:`execute` runs either *in the current process* — the serial
+backend calls it directly, so inline execution writes spans and
+metrics straight into the ambient collectors.  :func:`pool_entry` is
+the function a process pool actually executes: it configures
+process-local telemetry to mirror the parent's, runs the payload
+through :func:`execute`, and captures the spans/metrics the attempt
+produced so the parent can merge them into its exporter.
 
 Failure transport is structured rather than exception-propagating:
 the worker catches every :class:`Exception`, classifies it against
@@ -25,7 +26,7 @@ serial run would have left behind.
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
@@ -43,11 +44,11 @@ __all__ = [
     "WorkerBatchResult",
     "WorkerPayload",
     "WorkerResult",
+    "execute",
     "execute_batch_payload",
     "execute_payload",
     "merge_result_telemetry",
     "pool_entry",
-    "pool_entry_batch",
 ]
 
 #: A replication body: ``(index, generator) -> (lost, arrived)``.
@@ -301,66 +302,32 @@ def execute_batch_payload(payload: WorkerBatchPayload) -> WorkerBatchResult:
     )
 
 
-def pool_entry_batch(payload: WorkerBatchPayload) -> WorkerBatchResult:
-    """Process-pool entry point for batched payloads.
-
-    Same telemetry bracketing as :func:`pool_entry`; the captured
-    spans/metrics ride on the batch result for the parent to merge.
-    """
-    if payload.telemetry:
-        _spans.enable()
-        _spans.reset_spans()
-        _metrics.reset_metrics()
-        with _tracectx.activate(_tracectx.extract(payload.trace)):
-            result = execute_batch_payload(payload)
-    else:
-        _spans.disable()
-        result = execute_batch_payload(payload)
-    if not payload.telemetry:
-        return result
-    return WorkerBatchResult(
-        base_index=result.base_index,
-        attempt=result.attempt,
-        results=result.results,
-        error=result.error,
-        error_kind=result.error_kind,
-        error_message=result.error_message,
-        retryable=result.retryable,
-        span_records=_spans.records(),
-        metric_dicts=tuple(_metrics.snapshot()),
-    )
+def execute(payload):
+    """Run a single or batched payload in the current process."""
+    if isinstance(payload, WorkerBatchPayload):
+        return execute_batch_payload(payload)
+    return execute_payload(payload)
 
 
-def pool_entry(payload: WorkerPayload) -> WorkerResult:
+def pool_entry(payload):
     """Process-pool entry point: telemetry bracketing around execution.
 
     Worker processes are reused across payloads, so the process-local
-    collectors are reset per payload; whatever the attempt recorded is
-    captured onto the result for the parent to merge.  Telemetry is
-    enabled in the worker exactly when the parent had it enabled at
-    submit time (``payload.telemetry``).
+    collectors are reset per payload; whatever the attempt (or block)
+    recorded is captured onto the result for the parent to merge.
+    Telemetry is enabled in the worker exactly when the parent had it
+    enabled at submit time (``payload.telemetry``).
     """
-    if payload.telemetry:
-        _spans.enable()
-        _spans.reset_spans()
-        _metrics.reset_metrics()
-        with _tracectx.activate(_tracectx.extract(payload.trace)):
-            result = execute_payload(payload)
-    else:
-        _spans.disable()
-        result = execute_payload(payload)
     if not payload.telemetry:
-        return result
-    return WorkerResult(
-        index=result.index,
-        attempt=result.attempt,
-        lost=result.lost,
-        arrived=result.arrived,
-        error=result.error,
-        error_kind=result.error_kind,
-        error_message=result.error_message,
-        retryable=result.retryable,
-        generator=result.generator,
+        _spans.disable()
+        return execute(payload)
+    _spans.enable()
+    _spans.reset_spans()
+    _metrics.reset_metrics()
+    with _tracectx.activate(_tracectx.extract(payload.trace)):
+        result = execute(payload)
+    return replace(
+        result,
         span_records=_spans.records(),
         metric_dicts=tuple(_metrics.snapshot()),
     )

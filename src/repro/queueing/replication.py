@@ -42,6 +42,7 @@ from repro.obs import progress as _progress
 from repro.obs import spans as _spans
 from repro.obs.spans import span
 from repro.parallel.backends import Backend, resolve_backend
+from repro.parallel.dispatch import dispatch
 from repro.parallel.worker import (
     WorkerBatchPayload,
     WorkerBatchResult,
@@ -288,12 +289,12 @@ def _run_failfast(
     results = [None] * n_replications
     reporter = _progress.reporter(n_replications, label=label)
     try:
-        with backend.session() as session:
+        with dispatch(backend) as loop:
             generators = list(spawn_generators(rng, n_replications))
             if batch_size > 1 and batch_task is not None:
                 for base in range(0, n_replications, batch_size):
                     block = generators[base : base + batch_size]
-                    session.submit(
+                    loop.submit(
                         WorkerBatchPayload(
                             base_index=base,
                             attempt=0,
@@ -306,7 +307,7 @@ def _run_failfast(
                     )
             else:
                 for i, rep_rng in enumerate(generators):
-                    session.submit(
+                    loop.submit(
                         WorkerPayload(
                             index=i,
                             attempt=0,
@@ -317,8 +318,7 @@ def _run_failfast(
                             health_check=False,
                         )
                     )
-            while session.pending:
-                result = session.next_completed()
+            for result in loop.events():
                 merge_result_telemetry(result)
                 if result.failed:
                     raise result.error

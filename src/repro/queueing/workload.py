@@ -25,10 +25,10 @@ Simulators:
 * :func:`simulate_finite_buffer_batch` — the same recursion run
   across a replication axis (``(R, n)`` arrivals) in one pass, the
   engine of the batched parallel workers;
-* :func:`simulate_infinite_buffer` / ``_batch`` — exact O(n)
-  vectorized form via the reflection identity
-  ``W_n = S_n - min_{k <= n} S_k`` with ``S_n = sum_{i<n} (X_i - C)``,
-  used for BOP (overflow-probability) estimation.
+* :func:`simulate_infinite_buffer` — exact O(n) vectorized form via
+  the reflection identity ``W_n = S_n - min_{k <= n} S_k`` with
+  ``S_n = sum_{i<n} (X_i - C)``, used for BOP (overflow-probability)
+  estimation.
 
 The finite-buffer recursion has no exact prefix-scan form, so the
 kernel works in fixed-size frame chunks: within a chunk the *uncapped*
@@ -262,15 +262,20 @@ def _record_run_telemetry(
 
     Busy periods are maximal runs of frames ending with a non-empty
     buffer — for heavy-tailed inputs their length distribution is the
-    quantity that controls estimator variance.
+    quantity that controls estimator variance.  Their lengths go into
+    a quantile sketch through the exact ``observe_counts``.
     """
     _metrics.add("frames_simulated", int(x.size))
     _metrics.add("cells_arrived", float(x.sum()))
     _metrics.add("cells_lost", float(lost.sum()))
     _metrics.add("loss_frames", int(np.count_nonzero(lost)))
-    lengths = _busy_period_lengths(end_workload > 0.0)
+    lengths, counts = np.unique(
+        _busy_period_lengths(end_workload > 0.0), return_counts=True
+    )
     if lengths.size:
-        _metrics.observe_many("busy_period_frames", lengths)
+        _metrics.sketch("busy_period_frames").observe_counts(
+            dict(zip(lengths.tolist(), counts.tolist()))
+        )
 
 
 @dataclass(frozen=True)
@@ -308,29 +313,3 @@ def simulate_infinite_buffer(
     s = np.concatenate(([0.0], np.cumsum(x - capacity)))
     running_min = np.minimum.accumulate(s)
     return InfiniteBufferResult(workload=s - running_min)
-
-
-def simulate_infinite_buffer_batch(
-    arrivals: np.ndarray, capacity: float
-) -> np.ndarray:
-    """Reflection-identity workloads across a replication axis.
-
-    ``arrivals`` is ``(R, n_frames)``; returns the ``(R, n_frames+1)``
-    frame-start workload matrix (``W_0 = 0`` included).  Row ``i`` is
-    bit-identical to ``simulate_infinite_buffer(arrivals[i], ...)``.
-    """
-    check_positive(capacity, "capacity")
-    x = np.ascontiguousarray(arrivals, dtype=float)
-    if x.ndim != 2 or x.shape[0] == 0 or x.shape[1] == 0:
-        raise SimulationError(
-            "arrivals must be a non-empty 2-D array "
-            "(replications x frames)"
-        )
-    if _spans._ENABLED:
-        _metrics.add("frames_simulated", int(x.size))
-        _metrics.add("cells_arrived", float(x.sum()))
-    s = np.concatenate(
-        (np.zeros((x.shape[0], 1)), np.cumsum(x - capacity, axis=1)),
-        axis=1,
-    )
-    return s - np.minimum.accumulate(s, axis=1)

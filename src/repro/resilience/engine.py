@@ -35,7 +35,9 @@ attempt that outlives its wall-clock budget is declared hung: the
 attempt is fenced off (its eventual result — and telemetry — is
 discarded on arrival) and a fresh attempt dispatched on the next
 child stream, so a hang is handled exactly like any other retryable
-failure (``ReplicationTimeout`` in the failure log).
+failure (``ReplicationTimeout`` in the failure log).  If a fenced
+attempt never returns, a warm pool's workers are replaced when the
+batch ends, on every exit path (``replications_pool_recycled``).
 
 Telemetry counters (no-ops unless :mod:`repro.obs` is enabled):
 ``replications_completed``, ``replications_retried``,
@@ -64,6 +66,7 @@ from repro.obs import progress as _progress
 from repro.obs import spans as _spans
 from repro.obs.spans import span
 from repro.parallel.backends import Backend
+from repro.parallel.dispatch import Hang, dispatch
 from repro.parallel.worker import (
     WorkerPayload,
     merge_result_telemetry,
@@ -228,7 +231,9 @@ def _supervise_parallel(
 
     Mutates ``completed`` and ``failures`` in place; returns
     ``(n_retried, deadline_hit)``.  All retry decisions and checkpoint
-    appends happen here, in the parent — workers only execute payloads.
+    appends happen here, in the parent — workers only execute payloads,
+    and :func:`~repro.parallel.dispatch.dispatch` owns the waiting,
+    hang fencing and pool recycling.
     """
     telemetry = _spans.is_enabled()
     abandoned: set = set()
@@ -241,105 +246,87 @@ def _supervise_parallel(
     deadline_hit = False
     fatal_error: Optional[BaseException] = None
     fatal_index = -1
+    timeout_budget = policy.replication_timeout_seconds
 
     def _prefix_resolved() -> bool:
         return all(
             i in completed or i in abandoned for i in range(fatal_index)
         )
 
-    def _payload(index: int) -> WorkerPayload:
-        attempt = seeder.attempts(index)
-        return WorkerPayload(
-            index=index,
-            attempt=attempt,
-            task=task,
-            generator=seeder.generator(index),
-            label=label,
-            telemetry=telemetry,
-            health_check=True,
-        )
+    def _stop() -> bool:
+        nonlocal deadline_hit
+        if fatal_error is not None and _prefix_resolved():
+            return True
+        if deadline is not None and policy.clock() >= deadline:
+            # In-flight work is cancelled/discarded by the session
+            # teardown; uncollected completions are recomputed
+            # deterministically on resume.
+            deadline_hit = True
+            return True
+        return False
 
-    timeout_budget = policy.replication_timeout_seconds
-    launched: dict = {}  # (index, attempt) -> launch clock
-    stale: set = set()  # timed-out epochs whose results must be dropped
-
-    with backend.session() as session:
+    with dispatch(
+        backend,
+        timeout=timeout_budget,
+        clock=policy.clock,
+        stale_metric="replications_stale_results",
+        recycle_metric="replications_pool_recycled",
+    ) as loop:
 
         def _submit(index: int) -> None:
-            payload = _payload(index)
-            session.submit(payload)
-            launched[(payload.index, payload.attempt)] = policy.clock()
+            loop.submit(
+                WorkerPayload(
+                    index=index,
+                    attempt=seeder.attempts(index),
+                    task=task,
+                    generator=seeder.generator(index),
+                    label=label,
+                    telemetry=telemetry,
+                    health_check=True,
+                )
+            )
+
+        def _retry(index: int, attempt: int) -> None:
+            """Resubmit ``index``, or abandon it once out of retries."""
+            nonlocal n_retried
+            if attempt >= policy.max_retries:
+                _metrics.add("replications_failed")
+                abandoned.add(index)
+                flush.advance()
+                return
+            _metrics.add("replications_retried")
+            n_retried += 1
+            _submit(index)
 
         for index in range(n_replications):
             if index not in completed:
                 _submit(index)
-        while launched:
-            if fatal_error is not None and _prefix_resolved():
-                break
-            if deadline is not None and policy.clock() >= deadline:
-                # In-flight work is cancelled/discarded by the session
-                # teardown; uncollected completions are recomputed
-                # deterministically on resume.
-                deadline_hit = True
-                break
-            wait = None
-            if timeout_budget is not None:
-                now = policy.clock()
-                remaining = min(
-                    timeout_budget - (now - at) for at in launched.values()
-                )
-                wait = max(0.001, remaining)
-            result = session.next_completed(timeout=wait)
-            if result is None:
-                # Nothing finished before the earliest per-attempt
-                # budget expired: declare overdue attempts hung.  The
-                # pool cannot preempt a running task, so the attempt
-                # is fenced off (its eventual result discarded) and a
-                # fresh attempt dispatched on the next child stream —
-                # a hang becomes an ordinary retryable failure.
-                now = policy.clock()
-                for key in sorted(launched):
-                    if now - launched[key] < timeout_budget:
-                        continue
-                    index, attempt = key
-                    del launched[key]
-                    stale.add(key)
-                    if fatal_error is not None and index > fatal_index:
-                        # Serial execution never reaches this
-                        # replication; don't retry or record it.
-                        continue
-                    _metrics.add("replications_timed_out")
-                    failures.append(
-                        FailureRecord(
-                            index=index,
-                            attempt=attempt,
-                            kind="ReplicationTimeout",
-                            message=(
-                                f"replication {index} attempt {attempt} "
-                                f"exceeded {timeout_budget}s wall-clock "
-                                "budget (declared hung)"
-                            ),
-                            elapsed_seconds=now - started,
-                        )
+        for event in loop.events(stop=_stop):
+            if isinstance(event, Hang):
+                # The attempt outlived its budget and is fenced off; a
+                # fresh attempt on the next child stream makes the
+                # hang an ordinary retryable failure.
+                if fatal_error is not None and event.index > fatal_index:
+                    # Serial execution never reaches this
+                    # replication; don't retry or record it.
+                    continue
+                _metrics.add("replications_timed_out")
+                failures.append(
+                    FailureRecord(
+                        index=event.index,
+                        attempt=event.attempt,
+                        kind="ReplicationTimeout",
+                        message=(
+                            f"replication {event.index} attempt "
+                            f"{event.attempt} exceeded {timeout_budget}s "
+                            "wall-clock budget (declared hung)"
+                        ),
+                        elapsed_seconds=event.now - started,
                     )
-                    if attempt >= policy.max_retries:
-                        _metrics.add("replications_failed")
-                        abandoned.add(index)
-                        flush.advance()
-                        continue
-                    _metrics.add("replications_retried")
-                    n_retried += 1
-                    _submit(index)
+                )
+                _retry(event.index, event.attempt)
                 continue
-            key = (result.index, result.attempt)
-            if key in stale:
-                # A fenced-off attempt finally returned: drop the
-                # result — and its telemetry — on the floor.  Its
-                # replacement (or abandonment) is already decided.
-                stale.discard(key)
-                _metrics.add("replications_stale_results")
-                continue
-            launched.pop(key, None)
+            result = event
             merge_result_telemetry(result)
             if result.failed:
                 if not result.retryable:
@@ -377,14 +364,7 @@ def _supervise_parallel(
                     # attempts run on spawned children, which never
                     # feed back into derivation.
                     seeder.adopt_generator(result.index, result.generator)
-                if result.attempt >= policy.max_retries:
-                    _metrics.add("replications_failed")
-                    abandoned.add(result.index)
-                    flush.advance()
-                    continue
-                _metrics.add("replications_retried")
-                n_retried += 1
-                _submit(result.index)
+                _retry(result.index, result.attempt)
                 continue
             completed[result.index] = ReplicationOutcome(
                 index=result.index,
@@ -396,15 +376,6 @@ def _supervise_parallel(
             _metrics.add("replications_completed")
             flush.advance()
             reporter.advance()
-    if stale:
-        # A fenced-off hung attempt never returned its (discarded)
-        # result; on a persistent warm pool the hung process would
-        # keep occupying a slot across future sessions, so replace the
-        # pool's workers.  Spawn pools die with the session anyway.
-        recycle = getattr(backend, "recycle", None)
-        if recycle is not None:
-            recycle()
-            _metrics.add("replications_pool_recycled")
     if fatal_error is not None:
         raise fatal_error
     return n_retried, deadline_hit

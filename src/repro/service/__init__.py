@@ -25,8 +25,9 @@ that the served boundary matches the offline one.
   journals with periodic state snapshots; a restarted shard recovers
   its exact link state from them;
 * :mod:`repro.service.supervision` — the one fan-out path: run link or
-  shard tasks inline or on a pool, restarting crashed/hung shards
-  with per-shard deadlines, heartbeats, and bounded retry;
+  shard tasks in this process or on a pool, on the shared loop of
+  :mod:`repro.parallel.dispatch`, restarting crashed/hung shards with
+  per-shard deadlines, heartbeats, and bounded retry;
 * :mod:`repro.service.overload` — bounded admission queue, circuit
   breaker, and conservative peak-rate fallback under overload;
 * :mod:`repro.service.frontend` — the sharded admission frontend:
@@ -36,7 +37,9 @@ that the served boundary matches the offline one.
   generator: derive lambda from rho and the admissible boundary,
   sweep rho toward 1, report p50/p99/p999 admit latency per point;
 * :mod:`repro.service.cli`      — the ``workload`` command-line verb
-  (also reachable as ``python -m repro.experiments.runner workload``);
+  (also reachable as ``python -m repro.experiments.runner workload``)
+  and the shared argument layer: the flags the service verbs share,
+  declared once, and the builders for what they configure;
 * :mod:`repro.service.frontend_cli` — the ``serve`` and ``drive``
   runner verbs built on the two modules above.
 

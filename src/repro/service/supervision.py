@@ -3,10 +3,12 @@
 Every fan-out of the service and adaptive paths — replay links
 (:mod:`repro.service.replay`), drive shards
 (:mod:`repro.service.drive`) and adaptive links
-(:mod:`repro.adaptive.recompute`) — runs inline or on a pool backend
-through :class:`ShardSupervisor`.  Under :data:`FAIL_FAST` one crashed
-shard fails the whole run; a restart budget wraps the backend session
-protocol with a restart loop:
+(:mod:`repro.adaptive.recompute`) — runs through
+:class:`ShardSupervisor`, on a pool backend or, with none, on a
+:class:`~repro.parallel.backends.SerialBackend` in this process; both
+go through the one loop of :mod:`repro.parallel.dispatch`.  Under
+:data:`FAIL_FAST` one crashed shard fails the whole run; a restart
+budget adds a restart policy on top of that loop:
 
 * **crashes** — a shard whose payload raises (any exception: a
   supervisor restarts indiscriminately, unlike the resilience
@@ -42,9 +44,11 @@ record that recovery happened).
 Caveat: a hung worker occupies its pool slot until it returns —
 ``ProcessPoolExecutor`` cannot preempt a running task — so injected
 hangs must be finite sleeps, and ``shard_timeout_seconds`` should be
-comfortably below them only in tests.  On the inline (serial) path
-there is no concurrency to poll; hangs are not preemptible and only
-crash recovery applies.
+comfortably below them only in tests.  On the serial path there is no
+concurrency to poll; hangs are not preemptible and only crash
+recovery applies.  Shards run there in submission order, so a
+restarted shard runs after the other shards' first attempts; results
+are unchanged.
 """
 
 from __future__ import annotations
@@ -57,11 +61,11 @@ from repro.exceptions import ParameterError, SimulationError
 from repro.obs import metrics as _metrics
 from repro.obs import spans as _spans
 from repro.obs.spans import span
-from repro.parallel.backends import Backend
+from repro.parallel.backends import Backend, SerialBackend
+from repro.parallel.dispatch import Hang, dispatch
 from repro.parallel.worker import (
     WorkerPayload,
     WorkerResult,
-    execute_payload,
     merge_result_telemetry,
 )
 from repro.utils.validation import check_integer, check_positive
@@ -156,9 +160,10 @@ class ShardSupervisor:
     n_shards:
         Shard count; results are returned in index order.
     backend:
-        A :class:`~repro.parallel.backends.Backend` or None for
-        inline execution (the serial path: sequential per-shard retry
-        loops, no hang detection).
+        A :class:`~repro.parallel.backends.Backend`, or None to run
+        the shards in this process on a
+        :class:`~repro.parallel.backends.SerialBackend` (no hang
+        detection).
     policy:
         The :class:`SupervisionPolicy` restart/timeout budget.
     """
@@ -194,14 +199,12 @@ class ShardSupervisor:
             backend="inline" if self.backend is None else self.backend.name,
             max_restarts=self.policy.max_restarts,
         ):
-            if self.backend is None:
-                return self._run_inline()
-            results = self._run_pool()
+            results = self._run(
+                SerialBackend() if self.backend is None else self.backend
+            )
             for result in results:
                 merge_result_telemetry(result)
             return results
-
-    # -- shared failure bookkeeping ------------------------------------------
 
     def _register_failure(
         self, index: int, attempt: int, error: BaseException, *, hang: bool
@@ -224,127 +227,43 @@ class ShardSupervisor:
             self.policy.sleep(backoff)
         return attempt + 1
 
-    # -- inline path ---------------------------------------------------------
-
-    def _run_inline(self) -> List[WorkerResult]:
-        results: List[WorkerResult] = []
-        for index in range(self.n_shards):
-            attempt = 0
-            while True:
-                result = execute_payload(
-                    self.payload_factory(index, attempt)
-                )
-                if not result.failed:
-                    results.append(result)
-                    break
-                attempt = self._register_failure(
-                    index, attempt, result.error, hang=False
-                )
-        return results
-
-    # -- pool path -----------------------------------------------------------
-
-    def _run_pool(self) -> List[WorkerResult]:
+    def _run(self, backend: Backend) -> List[WorkerResult]:
         policy = self.policy
         results: List[Optional[WorkerResult]] = [None] * self.n_shards
-        outstanding = self.n_shards
-        active: dict = {}  # (index, attempt) -> submit clock
-        stale: set = set()  # fenced-off (index, attempt) epochs
-        try:
-            return self._drain_pool(results, outstanding, active, stale)
-        finally:
-            if stale:
-                # A fenced-off hung worker never returned.  A spawn
-                # pool dies with its session, but a persistent (warm)
-                # pool would keep the hung process occupying one of
-                # its slots across every future session — replace its
-                # workers instead.
-                recycle = getattr(self.backend, "recycle", None)
-                if recycle is not None:
-                    recycle()
-                    if _spans._ENABLED:
-                        _metrics.add("service.pool_recycled")
+        with dispatch(
+            backend,
+            timeout=policy.shard_timeout_seconds,
+            heartbeat=policy.heartbeat_seconds,
+            clock=policy.clock,
+            stale_metric="service.shard_stale_results",
+            recycle_metric="service.pool_recycled",
+        ) as loop:
 
-    def _drain_pool(
-        self,
-        results: List[Optional[WorkerResult]],
-        outstanding: int,
-        active: dict,
-        stale: set,
-    ) -> List[WorkerResult]:
-        policy = self.policy
-        with self.backend.session() as session:
-
-            def submit(index: int, attempt: int) -> None:
-                session.submit(self.payload_factory(index, attempt))
-                active[(index, attempt)] = policy.clock()
-
-            def resubmit_or_raise(
+            def restart(
                 index: int, attempt: int, error: BaseException, *, hang: bool
             ) -> None:
-                submit(
-                    index,
-                    self._register_failure(index, attempt, error, hang=hang),
+                attempt = self._register_failure(
+                    index, attempt, error, hang=hang
                 )
+                loop.submit(self.payload_factory(index, attempt))
 
             for index in range(self.n_shards):
-                submit(index, 0)
-
-            while outstanding:
-                wait = policy.heartbeat_seconds
-                if policy.shard_timeout_seconds is not None and active:
-                    now = policy.clock()
-                    remaining = min(
-                        policy.shard_timeout_seconds - (now - started)
-                        for started in active.values()
-                    )
-                    wait = max(0.001, min(wait, remaining))
-                result = (
-                    session.next_completed(timeout=wait)
-                    if session.pending
-                    else None
-                )
-                if result is not None:
-                    key = (result.index, result.attempt)
-                    if key in stale:
-                        # A hung shard finally returned after its
-                        # replacement was dispatched: drop the result
-                        # (and its telemetry) on the floor.
-                        stale.discard(key)
-                        if _spans._ENABLED:
-                            _metrics.add("service.shard_stale_results")
-                        continue
-                    active.pop(key, None)
-                    if result.failed:
-                        resubmit_or_raise(
-                            result.index,
-                            result.attempt,
-                            result.error,
-                            hang=False,
-                        )
-                        continue
-                    results[result.index] = result
-                    self.reports[result.index].outcome = "ok"
-                    outstanding -= 1
-                    continue
-                # Nothing completed within the wait: scan for hangs.
-                if policy.shard_timeout_seconds is None:
-                    continue
-                now = policy.clock()
-                for key in sorted(active):
-                    if now - active[key] < policy.shard_timeout_seconds:
-                        continue
-                    index, attempt = key
-                    del active[key]
-                    stale.add(key)
-                    resubmit_or_raise(
-                        index,
-                        attempt,
+                loop.submit(self.payload_factory(index, 0))
+            for event in loop.events():
+                if isinstance(event, Hang):
+                    restart(
+                        event.index,
+                        event.attempt,
                         SimulationError(
-                            f"shard {index} attempt {attempt} exceeded "
-                            f"{policy.shard_timeout_seconds}s wall-clock "
-                            "budget (declared hung)"
+                            f"shard {event.index} attempt {event.attempt} "
+                            f"exceeded {policy.shard_timeout_seconds}s "
+                            "wall-clock budget (declared hung)"
                         ),
                         hang=True,
                     )
+                elif event.failed:
+                    restart(event.index, event.attempt, event.error, hang=False)
+                else:
+                    results[event.index] = event
+                    self.reports[event.index].outcome = "ok"
         return results  # type: ignore[return-value]

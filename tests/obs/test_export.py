@@ -15,7 +15,7 @@ class TestJsonlRoundTrip:
                 pass
         metrics.add("frames_simulated", 2000)
         metrics.set_gauge("utilization", 0.87)
-        metrics.observe_many("busy_period_frames", [1, 4, 4, 33])
+        metrics.observe_sketch_many("busy_period_frames", [1, 4, 4, 33])
 
         path = export.write_jsonl(tmp_path / "trace.jsonl", label="unit")
         dump = export.read_jsonl(path)
@@ -28,9 +28,9 @@ class TestJsonlRoundTrip:
         assert by_name["inner"].duration_ns > 0
         assert dump.counters == {"frames_simulated": 2000}
         assert dump.gauges == {"utilization": 0.87}
-        hist = dump.histograms["busy_period_frames"]
-        assert hist["count"] == 4
-        assert hist["buckets"] == {"1": 1, "4": 2, "64": 1}
+        busy = dump.sketches["busy_period_frames"]
+        assert busy["count"] == 4
+        assert (busy["min"], busy["max"]) == (1.0, 33.0)
 
     def test_every_line_is_valid_json(self, telemetry, tmp_path):
         with span("a"):
@@ -71,7 +71,7 @@ class TestFormatSummary:
         with span("s"):
             pass
         metrics.add("cells_lost", 123)
-        metrics.observe("busy_period_frames", 7)
+        metrics.observe_sketch("busy_period_frames", 7)
         text = export.format_summary()
         assert "cells_lost" in text
         assert "123" in text

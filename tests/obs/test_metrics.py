@@ -2,20 +2,13 @@
 
 from __future__ import annotations
 
-import math
 import threading
 
 import pytest
 
 import repro.obs as obs
 from repro.obs import metrics
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    _bucket_index,
-)
+from repro.obs.metrics import Counter, Gauge, MetricsRegistry
 
 
 class TestCounter:
@@ -46,39 +39,6 @@ class TestGauge:
         g.set(0.5)
         g.set(0.87)
         assert g.value == 0.87
-
-
-class TestHistogram:
-    def test_summary_stats(self):
-        h = Histogram("busy")
-        h.observe_many([1, 2, 3, 10])
-        assert h.count == 4
-        assert h.sum == 16.0
-        assert h.mean == 4.0
-        assert h.min == 1.0
-        assert h.max == 10.0
-
-    def test_empty_stats_are_nan(self):
-        h = Histogram("busy")
-        assert math.isnan(h.mean)
-        assert math.isnan(h.min)
-
-    def test_power_of_two_buckets(self):
-        assert _bucket_index(0.5) == 0
-        assert _bucket_index(1.0) == 0
-        assert _bucket_index(2.0) == 1
-        assert _bucket_index(3.0) == 2
-        assert _bucket_index(1024.0) == 10
-        h = Histogram("busy")
-        h.observe_many([1, 2, 2, 3, 100])
-        assert h.buckets() == {1.0: 1, 2.0: 2, 4.0: 1, 128.0: 1}
-
-    def test_to_dict_buckets_are_json_keys(self):
-        h = Histogram("busy")
-        h.observe(5)
-        d = h.to_dict()
-        assert d["buckets"] == {"8": 1}
-        assert d["count"] == 1
 
 
 class TestRegistry:
@@ -114,15 +74,15 @@ class TestModuleHelpers:
         metrics.reset_metrics()
         metrics.add("frames", 100)
         metrics.set_gauge("util", 0.9)
-        metrics.observe("busy", 4)
-        metrics.observe_many("busy", [1, 2])
+        metrics.observe_sketch("busy", 4)
+        metrics.observe_sketch_many("busy", [1, 2])
         assert metrics.snapshot() == []
 
     def test_enabled_helpers_record(self, telemetry):
         metrics.add("frames", 100)
         metrics.add("frames", 20)
         metrics.set_gauge("util", 0.9)
-        metrics.observe_many("busy", [1, 8])
+        metrics.observe_sketch_many("busy", [1, 8])
         snap = {m["name"]: m for m in metrics.snapshot()}
         assert snap["frames"]["value"] == 120
         assert snap["util"]["value"] == 0.9
@@ -155,28 +115,6 @@ class TestMergeSnapshot:
         snap = {d["name"]: d for d in metrics.snapshot()}
         assert snap["cells_lost"]["value"] == 5.0
         assert snap["utilization"]["value"] == 0.9
-
-    def test_histograms_merge_counts_extrema_buckets(self, telemetry):
-        from repro.obs import metrics
-
-        metrics.observe_many("busy", [1.0, 3.0])
-        local = metrics.histogram("busy")
-        foreign = {
-            "type": "histogram",
-            "name": "busy",
-            "count": 2,
-            "sum": 40.0,
-            "min": 0.5,
-            "max": 32.0,
-            "buckets": {"1": 1, "32": 1},
-        }
-        metrics.merge_snapshot([foreign])
-        assert local.count == 4
-        assert local.sum == pytest.approx(44.0)
-        assert local.min == 0.5
-        assert local.max == 32.0
-        assert local.buckets()[1.0] == 2  # 1.0 obs + bucket "1"
-        assert local.buckets()[32.0] == 1
 
     def test_disabled_is_noop(self):
         from repro.obs import metrics, spans
@@ -215,13 +153,15 @@ class TestMergeSnapshot:
             metrics.merge_snapshot(
                 [
                     {
-                        "type": "histogram",
+                        "type": "sketch",
                         "name": "busy",
+                        "relative_accuracy": 0.01,
                         "count": 1,
-                        "sum": 2.0,
+                        "zero_count": 0,
                         "min": 2.0,
                         "max": 2.0,
-                        "buckets": {"2": 1},
+                        "sum_estimate": 2.0,
+                        "buckets": {},
                     }
                 ]
             )
@@ -245,3 +185,20 @@ class TestMergeSnapshot:
         sketch = metrics.sketch("lat")
         assert sketch.count == 4
         assert sketch.max == 20.0
+
+
+class TestBusyPeriodSketch:
+    def test_traced_run_records_one_observation_per_busy_period(
+        self, telemetry
+    ):
+        import numpy as np
+
+        from repro.queueing.workload import simulate_finite_buffer
+
+        # C = 10 cells/frame: the buffer is non-empty after frames 0-7,
+        # frame 10 and frames 12-13 — busy periods of 8, 1 and 2.
+        arrivals = [12.0] * 7 + [0.0] * 3 + [11.0, 0.0, 12.0, 12.0, 0.0]
+        simulate_finite_buffer(np.array(arrivals), 10.0, 100.0)
+        busy = metrics.sketch("busy_period_frames")
+        assert busy.count == 3
+        assert (busy.min, busy.max) == (1.0, 8.0)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -292,6 +293,26 @@ class TestSweep:
         blocking = [row["blocking_probability"] for row in report["rows"]]
         assert blocking == sorted(blocking)
         assert blocking[-1] > 0.0
+
+    def test_sweep_prints_links_in_link_order(self, capsys):
+        # From 11 links up, string order would put link-10 before
+        # link-2; the rows must follow the link index.
+        code = obs_main(
+            [
+                "sweep",
+                "--class",
+                "dar1",
+                "--links",
+                "11",
+                "--requests",
+                "50",
+                "--rho",
+                "0.9",
+            ]
+        )
+        assert code == 0
+        printed = re.findall(r"\blink-\d+\b", capsys.readouterr().out)
+        assert printed == [f"link-{i}" for i in range(11)]
 
     def test_sweep_defaults(self):
         from repro.obs.cli import build_parser

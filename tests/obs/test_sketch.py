@@ -283,7 +283,7 @@ class TestRegistryIntegration:
             registry.sketch("x")
         registry.sketch("y")
         with pytest.raises(TypeError, match="already registered"):
-            registry.histogram("y")
+            registry.counter("y")
 
     def test_accuracy_conflict_raises(self):
         registry = MetricsRegistry()

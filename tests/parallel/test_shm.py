@@ -18,10 +18,8 @@ import pytest
 from repro.parallel import (
     ProcessPoolBackend,
     WorkerPayload,
-    attach_array,
     attach_blob,
     owned_segments,
-    publish_array,
     publish_blob,
 )
 from repro.parallel.shm import SEGMENT_PREFIX
@@ -75,34 +73,6 @@ class TestBlobRoundTrip:
         assert handle.name in shm_entries()
         handle.unlink()
         assert handle.name not in shm_entries()
-
-
-class TestArrayRoundTrip:
-    def test_publish_attach(self):
-        data = np.arange(12.0).reshape(3, 4)
-        with publish_array(data) as handle:
-            view = attach_array(handle.descriptor)
-            assert np.array_equal(view, data)
-            # Shared pages are read-only to consumers.
-            assert not view.flags.writeable
-            with pytest.raises((ValueError, RuntimeError)):
-                view[0, 0] = 99.0
-
-    def test_owner_attach_reuses_mapping(self):
-        data = np.ones(8)
-        with publish_array(data) as handle:
-            a = attach_array(handle.descriptor)
-            b = attach_array(handle.descriptor)
-            # Same buffer, not a second tracked mapping.
-            assert a.__array_interface__["data"][0] == (
-                b.__array_interface__["data"][0]
-            )
-
-    def test_unlinked_owner_view_rejected(self):
-        handle = publish_array(np.ones(4))
-        handle.unlink()
-        with pytest.raises(ValueError, match="unlinked"):
-            handle.asarray()
 
 
 class _BlobChecksum:

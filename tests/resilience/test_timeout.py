@@ -11,13 +11,17 @@ import time
 
 import pytest
 
+import repro.obs as obs
 from repro.exceptions import (
+    CheckpointError,
     DegradedResultWarning,
     ParameterError,
     SimulationError,
 )
-from repro.parallel.backends import ProcessPoolBackend
+from repro.obs import metrics
+from repro.parallel.backends import ProcessPoolBackend, WarmPoolBackend
 from repro.resilience import ResiliencePolicy, run_replications
+from repro.resilience.checkpoint import CheckpointFile
 from repro.utils.replication_context import current_attempt
 
 
@@ -152,3 +156,47 @@ class TestHangRecovery:
             backend=backend(),
         )
         assert path_a.read_text() == path_b.read_text()
+
+
+class TestRecycleOnError:
+    def test_fenced_hang_recycled_when_an_error_escapes(
+        self, tmp_path, monkeypatch
+    ):
+        # Attempt (0, 0) hangs past its budget and is fenced; its retry
+        # completes, and the checkpoint append for it raises.  The
+        # error must still leave the warm pool recycled, or the hung
+        # worker keeps its slot for every later session.
+        pool = WarmPoolBackend(
+            2, start_method="fork", idle_timeout_seconds=None
+        )
+        recycled = []
+        recycle = pool.recycle
+        monkeypatch.setattr(
+            pool, "recycle", lambda: (recycled.append(1), recycle())
+        )
+
+        def refuse(self, record):
+            raise CheckpointError("checkpoint volume is read-only")
+
+        monkeypatch.setattr(CheckpointFile, "append", refuse)
+        obs.reset()
+        obs.enable()
+        try:
+            with pytest.raises(CheckpointError):
+                run_replications(
+                    EpochTask(hang_at=[(0, 0)], seconds=3.0),
+                    3,
+                    rng=11,
+                    policy=ResiliencePolicy(
+                        max_retries=1,
+                        replication_timeout_seconds=0.3,
+                        checkpoint_path=str(tmp_path / "ckpt.jsonl"),
+                    ),
+                    backend=pool,
+                )
+            assert recycled == [1]
+            assert metrics.counter("replications_pool_recycled").value == 1
+        finally:
+            obs.disable()
+            obs.reset()
+            pool.shutdown()
