@@ -22,7 +22,7 @@ each experiment out across ``N`` worker processes — results are
 bit-identical to serial runs on the same seed, only faster (see
 ``docs/PERFORMANCE.md``).  The default is 1 (serial); ``N > 1`` runs
 on the shared persistent warm pool.  ``--batch`` overrides how many
-replications each worker task carries.
+replications each task carries, serial runs included.
 
 Long batches are supervised by :mod:`repro.resilience` when any of
 ``--deadline`` / ``--max-retries`` / ``--checkpoint-dir`` is given:
@@ -231,7 +231,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=int,
         metavar="R",
         default=None,
-        help="replications per worker task on fail-fast parallel runs "
+        help="replications per task on fail-fast runs at any --jobs "
         "(default: auto-sized from --jobs; 1 = one task per "
         "replication; ignored under resilience supervision)",
     )

@@ -9,7 +9,8 @@ and keeps only its own policy.
 
 Three process-lifetime disciplines:
 
-* :class:`SerialBackend` — inline, deterministic, no pickling;
+* :class:`SerialBackend` — inline, deterministic, no pickling; what
+  every call given no backend runs on;
 * :class:`ProcessPoolBackend` — fresh spawn workers per session
   (maximum isolation, pays the spawn tax every call);
 * :class:`WarmPoolBackend` / :func:`warm_pool` — persistent workers

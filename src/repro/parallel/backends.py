@@ -37,11 +37,12 @@ from __future__ import annotations
 import atexit
 import concurrent.futures
 import dataclasses
+import heapq
+import itertools
 import multiprocessing
 import threading
 import time
 import weakref
-from collections import deque
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
@@ -114,13 +115,24 @@ class Backend:
 
 
 class _SerialSession(BackendSession):
-    """FIFO inline execution: payloads run lazily on collection."""
+    """Inline execution: payloads run lazily on collection.
+
+    The lowest pending ``(index, attempt)`` runs first — the tie rule
+    :class:`_PoolSession` applies to simultaneous completions — so a
+    retry submitted after later indices still runs before them, as an
+    in-order loop would run it (call-counted fault schedules rely on
+    that order).
+    """
 
     def __init__(self) -> None:
-        self._queue: deque = deque()
+        self._queue: list = []
+        self._submitted = itertools.count()
 
     def submit(self, payload: WorkerPayload) -> None:
-        self._queue.append(payload)
+        heapq.heappush(
+            self._queue,
+            (payload.index, payload.attempt, next(self._submitted), payload),
+        )
 
     def next_completed(
         self, timeout: Optional[float] = None
@@ -130,7 +142,7 @@ class _SerialSession(BackendSession):
         # finished), so it is accepted and ignored.
         if not self._queue:
             raise RuntimeError("no payloads pending in this session")
-        return execute(self._queue.popleft())
+        return execute(heapq.heappop(self._queue)[-1])
 
     @property
     def pending(self) -> int:
@@ -138,12 +150,13 @@ class _SerialSession(BackendSession):
 
 
 class SerialBackend(Backend):
-    """Run payloads inline, in submission order.
+    """Run payloads inline, lowest ``(index, attempt)`` first.
 
     Exercises the identical collection/pooling code path as the
     process pool — with deterministic completion order and no pickling
     — which makes it the reference implementation the pool is tested
-    against, and a sensible explicit choice for debugging.
+    against.  Every replicated or sharded call without a backend runs
+    on one (see :func:`repro.parallel.dispatch.dispatch`).
     """
 
     jobs = 1
@@ -572,7 +585,7 @@ def set_default_backend(backend: Optional[Backend]) -> None:
 
 
 def get_default_backend() -> Optional[Backend]:
-    """The installed default backend, or None (inline serial loops)."""
+    """The installed default backend, or None (a :class:`SerialBackend`)."""
     return _default_backend
 
 
@@ -591,10 +604,11 @@ def resolve_backend(
     backend: Optional[Backend] = None,
     jobs: Optional[int] = None,
 ) -> Optional[Backend]:
-    """The backend a replicated call should use, or None for inline.
+    """The backend a replicated call should use, or None for serial.
 
+    None means a :class:`SerialBackend` on the dispatch loop.
     Precedence: an explicit ``backend`` wins; else ``jobs`` builds one
-    (1 -> inline legacy loop, N > 1 -> the shared persistent pool from
+    (1 -> None, N > 1 -> the shared persistent pool from
     :func:`warm_pool`); else the process-wide default installed via
     :func:`use_backend` applies.  Passing both ``backend`` and ``jobs``
     is ambiguous and rejected.

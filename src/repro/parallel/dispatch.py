@@ -1,7 +1,7 @@
 """The one dispatch loop every fan-out runs on.
 
-The fail-fast replication loops (:mod:`repro.queueing.replication`),
-the resilience engine (:mod:`repro.resilience.engine`) and the shard
+Fail-fast replications (:mod:`repro.queueing.replication`), the
+resilience engine (:mod:`repro.resilience.engine`) and the shard
 supervisor (:mod:`repro.service.supervision`) all submit
 ``(index, attempt)`` payloads to a :class:`~repro.parallel.backends.Backend`
 session, wait with a timeout, fence attempts that outlive their
@@ -18,13 +18,17 @@ module is that loop, written once; each caller keeps only its policy
             else:
                 ...  # a WorkerResult / WorkerBatchResult
 
-The loop owns each live attempt's submit clock, the wait (the
-heartbeat cut to the earliest attempt deadline, floored at 1 ms, or a
-blocking wait when neither is set), the hang scan in sorted
-``(index, attempt)`` order, the fence that drops a hung attempt's
-late result, and the warm-pool ``recycle()`` on every exit path.  It
-merges no telemetry: results reach the caller with their captured
-spans and metrics untouched, so each caller keeps its own merge order.
+With no backend the loop runs a
+:class:`~repro.parallel.backends.SerialBackend`, so serial and pool
+runs share every rule below.  The loop owns each live attempt's
+submit clock (read only when a timeout is set, so an injected clock
+sees no reads it did not ask for), the wait (the heartbeat cut to
+the earliest attempt deadline, floored at 1 ms, or a blocking wait
+when neither is set), the hang scan in sorted ``(index, attempt)``
+order, the fence that drops a hung attempt's late result, and the
+warm-pool ``recycle()`` on every exit path.  It merges no telemetry:
+results reach the caller with their captured spans and metrics
+untouched, so each caller keeps its own merge order.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from contextlib import contextmanager
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from repro.obs import metrics as _metrics
-from repro.parallel.backends import Backend, BackendSession
+from repro.parallel.backends import Backend, BackendSession, SerialBackend
 
 __all__ = ["Dispatch", "Hang", "dispatch"]
 
@@ -70,7 +74,8 @@ class Dispatch:
         self._heartbeat = heartbeat
         self._clock = clock
         self._stale_metric = stale_metric
-        #: (index, attempt) -> submit clock, for every live attempt.
+        #: (index, attempt) -> submit clock (None without a timeout),
+        #: for every live attempt.
         self._launched: dict = {}
         #: Fenced (index, attempt) epochs whose results must be dropped.
         self.stale: set = set()
@@ -78,7 +83,9 @@ class Dispatch:
     def submit(self, payload) -> None:
         """Ship ``payload`` and start its attempt's clock."""
         self._session.submit(payload)
-        self._launched[(payload.index, payload.attempt)] = self._clock()
+        self._launched[(payload.index, payload.attempt)] = (
+            None if self._timeout is None else self._clock()
+        )
 
     def _wait(self) -> Optional[float]:
         wait = self._heartbeat
@@ -137,7 +144,7 @@ class Dispatch:
 
 @contextmanager
 def dispatch(
-    backend: Backend,
+    backend: Optional[Backend] = None,
     *,
     timeout: Optional[float] = None,
     heartbeat: Optional[float] = None,
@@ -147,6 +154,8 @@ def dispatch(
 ) -> Iterator[Dispatch]:
     """Open a session on ``backend`` and run the loop over it.
 
+    ``backend`` None runs the payloads in this process on a
+    :class:`~repro.parallel.backends.SerialBackend`.
     ``timeout`` is the wall-clock budget per attempt (None: no hang
     detection); ``heartbeat`` bounds each wait (None: wait until a
     result or the earliest deadline).  On exit — normal or by an
@@ -156,6 +165,8 @@ def dispatch(
     ``recycle_metric``.  A spawn-per-session pool dies with its
     session anyway.
     """
+    if backend is None:
+        backend = SerialBackend()
     loop: Optional[Dispatch] = None
     try:
         with backend.session() as session:

@@ -15,7 +15,9 @@ produced so the parent can merge them into its exporter.
 Failure transport is structured rather than exception-propagating:
 the worker catches every :class:`Exception`, classifies it against
 :data:`repro.exceptions.RETRYABLE_EXCEPTIONS`, and returns it inside
-the :class:`WorkerResult` together with the post-run generator state.
+the :class:`WorkerResult` together with the post-run generator state
+(the original object in-process; :func:`pool_entry` swaps an
+unpicklable one for a stand-in before it crosses a process).
 The supervisor needs all three — the classification to decide on a
 retry, the exception to re-raise non-retryable bugs untouched, and
 the generator so that retry streams spawned from a caller-supplied
@@ -118,8 +120,8 @@ class WorkerBatchPayload:
     through a single 2-D kernel pass (see
     :func:`repro.queueing.workload.simulate_finite_buffer_batch`).
     Replication ``base_index + i`` runs on ``generators[i]`` — its own
-    per-replication stream, exactly the one a serial loop would have
-    used — so seeding and results stay bit-identical to unbatched
+    per-replication stream, exactly the one an unbatched payload would
+    carry — so seeding and results stay bit-identical to unbatched
     execution.
     """
 
@@ -212,7 +214,7 @@ def execute_payload(payload: WorkerPayload) -> WorkerResult:
         return WorkerResult(
             index=payload.index,
             attempt=payload.attempt,
-            error=_transportable(exc),
+            error=exc,
             error_kind=type(exc).__name__,
             error_message=str(exc),
             retryable=isinstance(exc, RETRYABLE_EXCEPTIONS),
@@ -290,7 +292,7 @@ def execute_batch_payload(payload: WorkerBatchPayload) -> WorkerBatchResult:
         return WorkerBatchResult(
             base_index=payload.base_index,
             attempt=payload.attempt,
-            error=_transportable(exc),
+            error=exc,
             error_kind=type(exc).__name__,
             error_message=str(exc),
             retryable=isinstance(exc, RETRYABLE_EXCEPTIONS),
@@ -316,21 +318,28 @@ def pool_entry(payload):
     collectors are reset per payload; whatever the attempt (or block)
     recorded is captured onto the result for the parent to merge.
     Telemetry is enabled in the worker exactly when the parent had it
-    enabled at submit time (``payload.telemetry``).
+    enabled at submit time (``payload.telemetry``).  The result is
+    about to cross a process, so an error that cannot be pickled is
+    replaced by a :class:`RuntimeError` stand-in here — in-process
+    execution keeps the original exception object.
     """
-    if not payload.telemetry:
+    if payload.telemetry:
+        _spans.enable()
+        _spans.reset_spans()
+        _metrics.reset_metrics()
+        with _tracectx.activate(_tracectx.extract(payload.trace)):
+            result = execute(payload)
+        result = replace(
+            result,
+            span_records=_spans.records(),
+            metric_dicts=tuple(_metrics.snapshot()),
+        )
+    else:
         _spans.disable()
-        return execute(payload)
-    _spans.enable()
-    _spans.reset_spans()
-    _metrics.reset_metrics()
-    with _tracectx.activate(_tracectx.extract(payload.trace)):
         result = execute(payload)
-    return replace(
-        result,
-        span_records=_spans.records(),
-        metric_dicts=tuple(_metrics.snapshot()),
-    )
+    if result.error is not None:
+        result = replace(result, error=_transportable(result.error))
+    return result
 
 
 def merge_result_telemetry(result: WorkerResult) -> None:

@@ -171,79 +171,3 @@ def simulate_cell_level(
         lost += chunk_lost
     return CellLevelResult(lost_cells=lost, arrived_cells=arrived)
 
-
-def simulate_cell_level_batch(
-    per_replication_frames,
-    capacity: int,
-    buffer_cells: int,
-) -> list:
-    """Cell-granularity runs for many replications in one 2-D scan.
-
-    ``per_replication_frames`` is a sequence of integer frame matrices
-    (each as accepted by :func:`simulate_cell_level`; replications may
-    have different cell counts).  Ragged drain sequences are padded on
-    the right with ``buffer_cells + 2`` — a pad slot first drains the
-    queue to zero and then re-adds one cell, so it can never record a
-    loss — and the chunked drain/loss scan runs across the replication
-    axis.  All arithmetic is integer, so every replication's counts
-    are bit-identical to running it alone through
-    :func:`simulate_cell_level`.
-
-    Returns a list of :class:`CellLevelResult`, one per replication.
-    """
-    capacity = check_integer(capacity, "capacity", minimum=1)
-    buffer_cells = check_integer(buffer_cells, "buffer_cells", minimum=0)
-    drains_rows = []
-    for frames in per_replication_frames:
-        frames = np.asarray(frames)
-        if frames.ndim == 1:
-            frames = frames[:, None]
-        if frames.ndim != 2 or frames.size == 0:
-            raise SimulationError(
-                "each replication must be a non-empty 2-D frame array"
-            )
-        times = np.sort(
-            np.concatenate(
-                [
-                    deterministic_smoothing_times(frames[:, s])
-                    for s in range(frames.shape[1])
-                ]
-            )
-        )
-        drains_rows.append(_drain_counts(times, capacity))
-    if not drains_rows:
-        raise SimulationError("need at least one replication")
-
-    lengths = [row.shape[0] for row in drains_rows]
-    width = max(lengths)
-    cap = buffer_cells + 1
-    if width == 0:
-        return [CellLevelResult(0, 0) for _ in drains_rows]
-    padded = np.full((len(drains_rows), width), cap + 1, dtype=np.int64)
-    for i, row in enumerate(drains_rows):
-        padded[i, : row.shape[0]] = row
-
-    lost = np.zeros(len(drains_rows), dtype=np.int64)
-    queue = np.zeros(len(drains_rows), dtype=np.int64)
-    positions_full = np.arange(1, width + 1)
-    for start in range(0, width, _SCAN_CHUNK):
-        chunk = padded[:, start : start + _SCAN_CHUNK]
-        m = chunk.shape[1]
-        running = np.cumsum(chunk, axis=1)
-        positions = positions_full[:m]
-        net = positions[np.newaxis, :] - running
-        floor_term = (
-            np.maximum.accumulate(running - positions[np.newaxis, :], axis=1)
-            + 1
-        )
-        u = net + np.maximum(queue[:, np.newaxis], floor_term)
-        fast = u.max(axis=1) <= cap
-        queue = np.where(fast, u[:, -1], queue)
-        for i in np.flatnonzero(~fast):
-            chunk_lost, q = _scan_chunk_lossy(chunk[i], int(queue[i]), cap)
-            lost[i] += chunk_lost
-            queue[i] = q
-    return [
-        CellLevelResult(lost_cells=int(lost[i]), arrived_cells=int(n))
-        for i, n in enumerate(lengths)
-    ]

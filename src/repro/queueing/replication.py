@@ -15,17 +15,20 @@ under the fault-tolerant supervisor of :mod:`repro.resilience.engine`:
 failed replications are retried on fresh child streams, completed ones
 checkpoint to disk for resume, and a deadline degrades the batch to a
 pooled estimate over the completed subset (``degraded=True``) instead
-of discarding everything.  Without one, behaviour is the classic
-fail-fast loop — and a fault-free supervised run is bit-identical to
-it, because attempt-0 streams reuse the exact ``spawn_generators``
+of discarding everything.  Without one, the first failure aborts the
+batch (fail-fast) — and a fault-free supervised run is bit-identical
+to it, because attempt-0 streams reuse the exact ``spawn_generators``
 derivation.
 
 Both entry points also accept an execution backend (``jobs=N`` or an
 explicit ``backend=``, see :mod:`repro.parallel`): replications are
-independent, so they parallelize across worker processes.  Results
-are pooled in replication-index order no matter which worker finishes
-first, so the pooled CLR, every summary field, and any checkpoint
-file are bit-identical to a serial run on the same seed.
+independent, so they parallelize across worker processes.  Without
+one they run on a :class:`~repro.parallel.backends.SerialBackend`;
+either way every attempt goes through the one loop of
+:mod:`repro.parallel.dispatch`.  Results are pooled in
+replication-index order no matter which worker finishes first, so the
+pooled CLR, every summary field, and any checkpoint file are
+bit-identical to a serial run on the same seed.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from repro.exceptions import ParameterError, SimulationError
 from repro.obs import metrics as _metrics
 from repro.obs import progress as _progress
 from repro.obs import spans as _spans
-from repro.obs.spans import span
 from repro.parallel.backends import Backend, resolve_backend
 from repro.parallel.dispatch import dispatch
 from repro.parallel.worker import (
@@ -59,11 +61,7 @@ from repro.queueing.workload import (
     simulate_finite_buffer,
     simulate_finite_buffer_batch,
 )
-from repro.resilience.engine import (
-    EngineResult,
-    FailureRecord,
-    run_replications,
-)
+from repro.resilience.engine import FailureRecord, run_replications
 from repro.resilience.policy import ResiliencePolicy, get_default_policy
 from repro.utils.rng import RngLike, spawn_generators
 from repro.utils.validation import (
@@ -224,8 +222,9 @@ _DEFAULT_BATCH: Optional[int] = None
 
 def set_default_batch(batch: Optional[int]) -> None:
     """Install a process-wide default for ``batch=`` (None restores
-    auto-sizing).  Only fail-fast parallel runs consult it; the
-    resilient path always stays per-replication."""
+    auto-sizing).  Fail-fast runs consult it on every backend, the
+    serial one included; the resilient path always stays
+    per-replication."""
     global _DEFAULT_BATCH
     _DEFAULT_BATCH = (
         None if batch is None else check_integer(batch, "batch", minimum=1)
@@ -243,11 +242,12 @@ def _resolve_batch(
 
     ``None`` falls back to the process default, then auto-sizes:
     ``ceil(R / (jobs * _TASKS_PER_WORKER))`` on a process backend,
-    except under live telemetry, where batching is disabled so
-    per-replication spans keep their serial shape.  An explicit
-    ``batch`` is honoured as given (``1`` forces the legacy
-    per-replication payloads); explicit batching trades per-replication
-    spans for one ``replication_batch`` span per block.
+    1 on the serial one (``backend`` None) and under live telemetry,
+    where batching is disabled so per-replication spans keep their
+    serial shape.  An explicit ``batch`` is honoured as given on every
+    backend (``1`` forces per-replication payloads); explicit batching
+    trades per-replication spans for one ``replication_batch`` span
+    per block.
     """
     if batch is None:
         batch = _DEFAULT_BATCH
@@ -265,7 +265,7 @@ def _run_failfast(
     task,
     n_replications: int,
     rng: RngLike,
-    backend: Backend,
+    backend: Optional[Backend],
     label: str,
     *,
     batch_task=None,
@@ -273,12 +273,13 @@ def _run_failfast(
 ):
     """Run a fail-fast batch on ``backend``; results by index.
 
-    Submits every replication up front, collects in completion order,
-    and returns the results as an index-addressed list — the caller
-    pools in index order, which keeps float-addition order identical
-    to the inline loop.  The first failure re-raises its original
-    exception, matching fail-fast semantics (other in-flight
-    replications are cancelled by the session teardown).
+    ``backend`` None runs on the serial backend.  Submits every
+    replication up front, collects in completion order, and returns
+    the results as an index-addressed list — the caller pools in index
+    order, so float-addition order is the same on every backend.  The
+    first failure re-raises its exception (the original object unless
+    it crossed a process), matching fail-fast semantics (other
+    in-flight replications are cancelled by the session teardown).
 
     With ``batch_size > 1`` contiguous replication blocks ship as
     single :class:`WorkerBatchPayload` tasks running ``batch_task``;
@@ -380,6 +381,60 @@ def _fingerprint(
     return fingerprint
 
 
+def _replicate(
+    task,
+    batch_task,
+    n_replications: int,
+    rng: RngLike,
+    *,
+    policy: Optional[ResiliencePolicy],
+    backend: Optional[Backend],
+    batch: Optional[int],
+    fingerprint: dict,
+    label: str,
+) -> Tuple[list, list, dict, Tuple[FailureRecord, ...]]:
+    """Run the replications, fail-fast or under ``policy``.
+
+    Returns ``(lost, arrived, fields, failures)``: the completed
+    replications' contributions in index order, the resilience fields
+    of the result (none on a fail-fast run) and the engine's failure
+    log.  ``backend`` None runs on the serial backend.
+    """
+    if policy is None:
+        results = _run_failfast(
+            task,
+            n_replications,
+            rng,
+            backend,
+            label,
+            batch_task=batch_task,
+            batch_size=_resolve_batch(batch, n_replications, backend),
+        )
+        return [r.lost for r in results], [r.arrived for r in results], {}, ()
+    _reject_resilient_batch(batch)
+    engine = run_replications(
+        task,
+        n_replications,
+        rng,
+        policy=policy,
+        fingerprint=fingerprint,
+        label=label,
+        backend=backend,
+    )
+    fields = {
+        "degraded": engine.degraded,
+        "n_failed": engine.n_failed,
+        "n_retried": engine.n_retried,
+        "n_resumed": engine.n_resumed,
+    }
+    return (
+        [o.lost for o in engine.outcomes],
+        [o.arrived for o in engine.outcomes],
+        fields,
+        engine.failures,
+    )
+
+
 def replicated_clr(
     multiplexer: ATMMultiplexer,
     n_frames: int,
@@ -401,64 +456,30 @@ def replicated_clr(
     ``jobs=N`` (or an explicit ``backend=``) replications run across
     worker processes; the pooled result is bit-identical to serial.
 
-    ``batch`` sets how many replications each worker task carries on a
-    fail-fast parallel run (``None`` auto-sizes from the backend's job
-    count, ``1`` forces one task per replication).  The resilient path
-    keeps per-replication tasks — retry and checkpoint granularity is
-    the replication — so an explicit ``batch > 1`` with a policy is a
-    :class:`~repro.exceptions.ParameterError`.
+    ``batch`` sets how many replications each task carries on a
+    fail-fast run, on any backend (``None`` auto-sizes from the
+    backend's job count, ``1`` forces one task per replication).  The
+    resilient path keeps per-replication tasks — retry and checkpoint
+    granularity is the replication — so an explicit ``batch > 1`` with
+    a policy is a :class:`~repro.exceptions.ParameterError`.
     """
     n_frames = check_integer(n_frames, "n_frames", minimum=1)
     n_replications = check_integer(
         n_replications, "n_replications", minimum=1
     )
-    policy = _resolve_policy(resilience)
-    exec_backend = resolve_backend(backend, jobs)
-    if policy is not None:
-        _reject_resilient_batch(batch)
-        return _replicated_clr_resilient(
-            multiplexer, n_frames, n_replications, rng, confidence,
-            policy, exec_backend,
-        )
-    if exec_backend is not None:
-        results = _run_failfast(
-            _CLRTask(multiplexer, n_frames),
-            n_replications,
-            rng,
-            exec_backend,
-            "replicated_clr",
-            batch_task=_CLRBatchTask(multiplexer, n_frames),
-            batch_size=_resolve_batch(
-                batch, n_replications, exec_backend
-            ),
-        )
-        lost = np.array([r.lost for r in results], dtype=float)
-        arrived = np.array([r.arrived for r in results], dtype=float)
-        _check_arrivals(arrived)
-        per_rep = replicated_estimate(lost / arrived, confidence)
-        return CLRReplicationSummary(
-            clr=pooled_clr(lost, arrived),
-            per_replication=per_rep,
-            total_lost=float(lost.sum()),
-            total_arrived=float(arrived.sum()),
-        )
-    lost = np.empty(n_replications)
-    arrived = np.empty(n_replications)
-    reporter = _progress.reporter(n_replications, label="replicated_clr")
-    try:
-        for i, rep_rng in enumerate(
-            spawn_generators(rng, n_replications)
-        ):
-            with span("replication", index=i, n_frames=n_frames):
-                result = multiplexer.simulate_clr(n_frames, rep_rng)
-            lost[i] = result.total_lost
-            arrived[i] = result.arrived_cells
-            _metrics.add("replications_completed")
-            reporter.advance()
-    finally:
-        # Always close out the progress line — a replication that
-        # raises must not leave it dangling on stderr.
-        reporter.finish()
+    lost, arrived, fields, failures = _replicate(
+        _CLRTask(multiplexer, n_frames),
+        _CLRBatchTask(multiplexer, n_frames),
+        n_replications,
+        rng,
+        policy=_resolve_policy(resilience),
+        backend=resolve_backend(backend, jobs),
+        batch=batch,
+        fingerprint=_fingerprint("clr", multiplexer, n_frames),
+        label="replicated_clr",
+    )
+    lost = np.array(lost, dtype=float)
+    arrived = np.array(arrived, dtype=float)
     _check_arrivals(arrived)
     per_rep = replicated_estimate(lost / arrived, confidence)
     return CLRReplicationSummary(
@@ -466,46 +487,8 @@ def replicated_clr(
         per_replication=per_rep,
         total_lost=float(lost.sum()),
         total_arrived=float(arrived.sum()),
-    )
-
-
-def _replicated_clr_resilient(
-    multiplexer: ATMMultiplexer,
-    n_frames: int,
-    n_replications: int,
-    rng: RngLike,
-    confidence: float,
-    policy: ResiliencePolicy,
-    backend: Optional[Backend] = None,
-) -> CLRReplicationSummary:
-    engine = run_replications(
-        _CLRTask(multiplexer, n_frames),
-        n_replications,
-        rng,
-        policy=policy,
-        fingerprint=_fingerprint("clr", multiplexer, n_frames),
-        label="replicated_clr",
-        backend=backend,
-    )
-    return _summary_from_engine(engine, confidence)
-
-
-def _summary_from_engine(
-    engine: EngineResult, confidence: float
-) -> CLRReplicationSummary:
-    lost = np.array([o.lost for o in engine.outcomes], dtype=float)
-    arrived = np.array([o.arrived for o in engine.outcomes], dtype=float)
-    per_rep = replicated_estimate(lost / arrived, confidence)
-    return CLRReplicationSummary(
-        clr=pooled_clr(lost, arrived),
-        per_replication=per_rep,
-        total_lost=float(lost.sum()),
-        total_arrived=float(arrived.sum()),
-        degraded=engine.degraded,
-        n_failed=engine.n_failed,
-        n_retried=engine.n_retried,
-        n_resumed=engine.n_resumed,
-        failures=engine.failures,
+        failures=failures,
+        **fields,
     )
 
 
@@ -581,67 +564,26 @@ def replicated_clr_curve(
         n_replications, "n_replications", minimum=1
     )
     buffers = check_nonnegative_array(buffer_values, "buffer_values")
-    policy = _resolve_policy(resilience)
-    exec_backend = resolve_backend(backend, jobs)
-    if policy is not None:
-        _reject_resilient_batch(batch)
-        return _replicated_clr_curve_resilient(
-            multiplexer, buffers, n_frames, n_replications, rng,
-            label, policy, exec_backend,
-        )
-    if exec_backend is not None:
-        results = _run_failfast(
-            _CurveTask(multiplexer, buffers, n_frames),
-            n_replications,
-            rng,
-            exec_backend,
-            label or "clr_curve",
-            batch_task=_CurveBatchTask(multiplexer, buffers, n_frames),
-            batch_size=_resolve_batch(
-                batch, n_replications, exec_backend
-            ),
-        )
-        lost = np.zeros(buffers.shape[0])
-        arrived_total = 0.0
-        for result in results:
-            lost += np.asarray(result.lost, dtype=float)
-            arrived_total += result.arrived
-        check_simulation_health(lost, arrived_total, context="clr_curve")
-        if arrived_total <= 0:
-            raise SimulationError(
-                f"no cells arrived across {n_replications} "
-                f"replication(s) of {n_frames} frames; the CLR curve "
-                "is undefined (check the model's mean rate)"
-            )
-        return _make_curve(multiplexer, buffers, lost, arrived_total, label)
+    per_rep_lost, per_rep_arrived, fields, _ = _replicate(
+        _CurveTask(multiplexer, buffers, n_frames),
+        _CurveBatchTask(multiplexer, buffers, n_frames),
+        n_replications,
+        rng,
+        policy=_resolve_policy(resilience),
+        backend=resolve_backend(backend, jobs),
+        batch=batch,
+        fingerprint=_fingerprint(
+            "clr_curve", multiplexer, n_frames, buffers=buffers
+        ),
+        label=label or "clr_curve",
+    )
+    # Accumulate in replication-index order: the float-addition order
+    # is then the same on every backend and after a resume.
     lost = np.zeros(buffers.shape[0])
     arrived_total = 0.0
-    reporter = _progress.reporter(
-        n_replications, label=label or "clr_curve"
-    )
-    try:
-        for rep_index, rep_rng in enumerate(
-            spawn_generators(rng, n_replications)
-        ):
-            with span(
-                "replication",
-                index=rep_index,
-                n_frames=n_frames,
-                n_buffers=int(buffers.size),
-                label=label,
-            ):
-                arrivals = multiplexer.model.sample_aggregate(
-                    n_frames, multiplexer.n_sources, rep_rng
-                )
-                arrived_total += float(arrivals.sum())
-                for i, b in enumerate(buffers):
-                    lost[i] += simulate_finite_buffer(
-                        arrivals, multiplexer.capacity, float(b)
-                    ).total_lost
-            _metrics.add("replications_completed")
-            reporter.advance()
-    finally:
-        reporter.finish()
+    for rep_lost, rep_arrived in zip(per_rep_lost, per_rep_arrived):
+        lost += np.asarray(rep_lost, dtype=float)
+        arrived_total += rep_arrived
     check_simulation_health(lost, arrived_total, context="clr_curve")
     if arrived_total <= 0:
         raise SimulationError(
@@ -649,48 +591,8 @@ def replicated_clr_curve(
             f"{n_frames} frames; the CLR curve is undefined "
             "(check the model's mean rate)"
         )
-    return _make_curve(multiplexer, buffers, lost, arrived_total, label)
-
-
-def _replicated_clr_curve_resilient(
-    multiplexer: ATMMultiplexer,
-    buffers: np.ndarray,
-    n_frames: int,
-    n_replications: int,
-    rng: RngLike,
-    label: str,
-    policy: ResiliencePolicy,
-    backend: Optional[Backend] = None,
-) -> CLRCurve:
-    engine = run_replications(
-        _CurveTask(multiplexer, buffers, n_frames),
-        n_replications,
-        rng,
-        policy=policy,
-        fingerprint=_fingerprint(
-            "clr_curve", multiplexer, n_frames, buffers=buffers
-        ),
-        label=label or "clr_curve",
-        backend=backend,
-    )
-    # Accumulate in replication-index order — the same float-addition
-    # order as the fail-fast loop — so a resumed batch reproduces an
-    # uninterrupted run bit for bit.
-    lost = np.zeros(buffers.shape[0])
-    arrived_total = 0.0
-    for outcome in engine.outcomes:
-        lost += np.asarray(outcome.lost, dtype=float)
-        arrived_total += outcome.arrived
     return _make_curve(
-        multiplexer,
-        buffers,
-        lost,
-        arrived_total,
-        label,
-        degraded=engine.degraded,
-        n_failed=engine.n_failed,
-        n_retried=engine.n_retried,
-        n_resumed=engine.n_resumed,
+        multiplexer, buffers, lost, arrived_total, label, **fields
     )
 
 

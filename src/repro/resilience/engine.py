@@ -21,14 +21,16 @@ protection a production batch needs:
   ``degraded`` with a :class:`~repro.exceptions.DegradedResultWarning`,
   raising only when *nothing* completed.
 
-With an execution backend (see :mod:`repro.parallel`) the attempts run
-across worker processes while all supervision — retry decisions,
-checkpoint appends, telemetry export — stays in the parent: workers
-never touch the JSONL file, and completions flush to it in strict
-replication-index order, so the checkpoint (and hence the pooled
-estimate after a resume) is bit-identical to a serial run regardless
-of completion order.  A crash loses only completions still waiting on
-a smaller index; they are recomputed deterministically on resume.
+Every attempt runs on the one loop of :mod:`repro.parallel.dispatch`:
+in this process on a :class:`~repro.parallel.backends.SerialBackend`
+when no backend is given, or across worker processes on a pool.
+All supervision — retry decisions, checkpoint appends, telemetry
+export — stays in the parent: workers never touch the JSONL file, and
+completions flush to it in strict replication-index order, so the
+checkpoint (and hence the pooled estimate after a resume) is
+bit-identical to a serial run regardless of completion order.  A
+crash loses only completions still waiting on a smaller index; they
+are recomputed deterministically on resume.
 
 With ``replication_timeout_seconds`` set on the policy, a parallel
 attempt that outlives its wall-clock budget is declared hung: the
@@ -64,7 +66,6 @@ from repro.exceptions import (
 from repro.obs import metrics as _metrics
 from repro.obs import progress as _progress
 from repro.obs import spans as _spans
-from repro.obs.spans import span
 from repro.parallel.backends import Backend
 from repro.parallel.dispatch import Hang, dispatch
 from repro.parallel.worker import (
@@ -78,9 +79,8 @@ from repro.resilience.checkpoint import (
 )
 from repro.resilience.policy import ResiliencePolicy
 from repro.resilience.seeding import ReplicationSeeder
-from repro.utils.replication_context import replication_attempt
 from repro.utils.rng import RngLike
-from repro.utils.validation import check_integer, check_simulation_health
+from repro.utils.validation import check_integer
 
 __all__ = [
     "EngineResult",
@@ -213,7 +213,7 @@ class _OrderedFlush:
             self._next += 1
 
 
-def _supervise_parallel(
+def _supervise(
     task: ReplicationTask,
     n_replications: int,
     seeder: ReplicationSeeder,
@@ -221,13 +221,13 @@ def _supervise_parallel(
     checkpoint: Optional[CheckpointFile],
     completed: dict,
     failures: list,
-    backend: Backend,
+    backend: Optional[Backend],
     label: str,
     started: float,
     deadline: Optional[float],
     reporter,
 ) -> Tuple[int, bool]:
-    """Run the outstanding replications on ``backend``.
+    """Run the outstanding replications on ``backend`` (None: serial).
 
     Mutates ``completed`` and ``failures`` in place; returns
     ``(n_retried, deadline_hit)``.  All retry decisions and checkpoint
@@ -333,7 +333,7 @@ def _supervise_parallel(
                     # A crash aborts the batch exactly as it aborts a
                     # serial run — but serial completes (and
                     # checkpoints) every replication *before* the
-                    # crash point first.  Workers complete out of
+                    # crash point first.  Pool workers complete out of
                     # order, so keep draining until the index prefix
                     # below the crash is resolved, then raise; the
                     # checkpoint stays a serial prefix either way
@@ -358,9 +358,10 @@ def _supervise_parallel(
                 )
                 if result.attempt == 0 and result.generator is not None:
                     # Attempt 0 is the one that runs *on* the parent
-                    # stream; the worker mutated a pickled copy, so
+                    # stream; a pool worker mutated a pickled copy, so
                     # adopt it — retries must derive from post-attempt
-                    # state exactly as they would in-process.  Later
+                    # state exactly as they would in-process (where
+                    # it is the parent stream itself).  Later
                     # attempts run on spawned children, which never
                     # feed back into derivation.
                     seeder.adopt_generator(result.index, result.generator)
@@ -398,9 +399,10 @@ def run_replications(
     the seed entropy itself.  Raises
     :class:`~repro.exceptions.SimulationError` only if no replication
     at all completed; otherwise degraded batches return partial
-    results flagged via :attr:`EngineResult.degraded`.  With a
-    ``backend`` the attempts run on worker processes (``task`` must
-    pickle); results are identical to serial, bit for bit.
+    results flagged via :attr:`EngineResult.degraded`.  With no
+    ``backend`` the attempts run in this process; on a pool they run
+    on worker processes (``task`` must pickle), and results are
+    identical to serial, bit for bit.
     """
     n_replications = check_integer(
         n_replications, "n_replications", minimum=1
@@ -439,95 +441,16 @@ def run_replications(
     started = policy.clock()
     deadline = policy.deadline(started)
     failures = []
-    n_retried = 0
-    deadline_hit = False
     reporter = _progress.reporter(
         n_replications, label=label or "resilient_replications"
     )
     try:
         if completed:
             reporter.advance(len(completed))
-        if backend is not None:
-            n_retried, deadline_hit = _supervise_parallel(
-                task, n_replications, seeder, policy, checkpoint,
-                completed, failures, backend, label, started, deadline,
-                reporter,
-            )
-        serial_indices = range(n_replications) if backend is None else ()
-        for index in serial_indices:
-            if index in completed:
-                continue
-            while True:
-                if deadline is not None and policy.clock() >= deadline:
-                    deadline_hit = True
-                    break
-                attempt = seeder.attempts(index)
-                generator = seeder.generator(index)
-                try:
-                    with replication_attempt(index, attempt), span(
-                        "replication",
-                        index=index,
-                        attempt=attempt,
-                        label=label,
-                    ):
-                        lost, arrived = task(index, generator)
-                    arrived = float(arrived)
-                    check_simulation_health(
-                        lost, arrived, context=f"replication {index}"
-                    )
-                    if arrived <= 0:
-                        raise SimulationError(
-                            f"replication {index} offered no cells; "
-                            "its CLR contribution is undefined",
-                            bad_replications=(index,),
-                        )
-                except RETRYABLE_EXCEPTIONS as exc:
-                    failures.append(
-                        FailureRecord(
-                            index=index,
-                            attempt=attempt,
-                            kind=type(exc).__name__,
-                            message=str(exc),
-                            elapsed_seconds=policy.clock() - started,
-                        )
-                    )
-                    if attempt >= policy.max_retries:
-                        _metrics.add("replications_failed")
-                        break
-                    _metrics.add("replications_retried")
-                    n_retried += 1
-                    continue
-                lost_value = (
-                    float(lost)
-                    if np.ndim(lost) == 0
-                    else np.asarray(lost, dtype=float)
-                )
-                completed[index] = ReplicationOutcome(
-                    index=index,
-                    lost=lost_value,
-                    arrived=arrived,
-                    attempts=attempt + 1,
-                    resumed=False,
-                )
-                _metrics.add("replications_completed")
-                if checkpoint is not None:
-                    checkpoint.append(
-                        ReplicationRecord(
-                            index=index,
-                            lost=(
-                                lost_value
-                                if isinstance(lost_value, float)
-                                else tuple(float(x) for x in lost_value)
-                            ),
-                            arrived=arrived,
-                            attempts=attempt + 1,
-                            spawn_key=seeder.spawn_key(index),
-                        )
-                    )
-                reporter.advance()
-                break
-            if deadline_hit:
-                break
+        n_retried, deadline_hit = _supervise(
+            task, n_replications, seeder, policy, checkpoint, completed,
+            failures, backend, label, started, deadline, reporter,
+        )
     finally:
         reporter.finish()
 

@@ -28,9 +28,8 @@ count its own calls from 1, and completion order is nondeterministic
 anyway.  For parallel runs (and as a clearer spelling in serial ones)
 the ``*_at`` schedules key faults by ``(replication index, attempt)``
 instead, read back from
-:func:`repro.utils.replication_context.current_attempt`, which both
-the engine's serial loop and the worker wrapper publish around every
-attempt.  ``fail_at={(0, 0), (0, 1)}`` is the addressed spelling of
+:func:`repro.utils.replication_context.current_attempt`, which the
+worker wrapper publishes around every attempt on every backend.  ``fail_at={(0, 0), (0, 1)}`` is the addressed spelling of
 the example above, and it means the same thing in every backend.
 """
 

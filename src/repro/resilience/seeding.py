@@ -8,8 +8,8 @@ would break reproducibility.  :class:`ReplicationSeeder` solves both
 with the ``SeedSequence`` spawn tree:
 
 * attempt 0 of replication ``i`` uses exactly the stream that
-  :func:`repro.utils.rng.spawn_generators` would hand the legacy
-  (non-resilient) loop — so a fault-free supervised run is
+  :func:`repro.utils.rng.spawn_generators` hands a fail-fast
+  (non-resilient) run — so a fault-free supervised run is
   bit-identical to an unsupervised one;
 * retry ``k`` of replication ``i`` spawns the child with spawn key
   ``(i, k - 1)`` from replication ``i``'s own SeedSequence — fully

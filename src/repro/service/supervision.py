@@ -46,9 +46,9 @@ Caveat: a hung worker occupies its pool slot until it returns —
 hangs must be finite sleeps, and ``shard_timeout_seconds`` should be
 comfortably below them only in tests.  On the serial path there is no
 concurrency to poll; hangs are not preemptible and only crash
-recovery applies.  Shards run there in submission order, so a
-restarted shard runs after the other shards' first attempts; results
-are unchanged.
+recovery applies.  Shards run there lowest ``(index, attempt)``
+first, so a restarted shard runs right after its failed attempt,
+before any later shard.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from repro.exceptions import ParameterError, SimulationError
 from repro.obs import metrics as _metrics
 from repro.obs import spans as _spans
 from repro.obs.spans import span
-from repro.parallel.backends import Backend, SerialBackend
+from repro.parallel.backends import Backend
 from repro.parallel.dispatch import Hang, dispatch
 from repro.parallel.worker import (
     WorkerPayload,
@@ -199,9 +199,7 @@ class ShardSupervisor:
             backend="inline" if self.backend is None else self.backend.name,
             max_restarts=self.policy.max_restarts,
         ):
-            results = self._run(
-                SerialBackend() if self.backend is None else self.backend
-            )
+            results = self._run()
             for result in results:
                 merge_result_telemetry(result)
             return results
@@ -227,11 +225,11 @@ class ShardSupervisor:
             self.policy.sleep(backoff)
         return attempt + 1
 
-    def _run(self, backend: Backend) -> List[WorkerResult]:
+    def _run(self) -> List[WorkerResult]:
         policy = self.policy
         results: List[Optional[WorkerResult]] = [None] * self.n_shards
         with dispatch(
-            backend,
+            self.backend,
             timeout=policy.shard_timeout_seconds,
             heartbeat=policy.heartbeat_seconds,
             clock=policy.clock,

@@ -278,22 +278,64 @@ def _draw(index, generator):
     return float(generator.integers(0, 1000)), 1.0
 
 
+def _draw_payload(index, attempt=0):
+    return WorkerPayload(
+        index=index,
+        attempt=attempt,
+        task=_draw,
+        generator=np.random.default_rng(index),
+        health_check=False,
+    )
+
+
 class TestSerialBackend:
-    def test_results_in_submission_order(self):
+    def test_results_lowest_index_first(self):
         with dispatch(SerialBackend()) as loop:
             for index in (2, 0, 1):
-                loop.submit(
-                    WorkerPayload(
-                        index=index,
-                        attempt=0,
-                        task=_draw,
-                        generator=np.random.default_rng(index),
-                        health_check=False,
-                    )
-                )
+                loop.submit(_draw_payload(index))
             results = list(loop.events())
-        assert [r.index for r in results] == [2, 0, 1]
+        # The lowest pending (index, attempt) runs first, whatever the
+        # submission order — the tie rule of the pool session.
+        assert [r.index for r in results] == [0, 1, 2]
         assert [r.lost for r in results] == [
             float(np.random.default_rng(i).integers(0, 1000))
-            for i in (2, 0, 1)
+            for i in (0, 1, 2)
         ]
+
+    def test_retry_runs_before_later_indices(self):
+        keys = []
+        with dispatch(SerialBackend()) as loop:
+            for index in range(3):
+                loop.submit(_draw_payload(index))
+            for result in loop.events():
+                keys.append((result.index, result.attempt))
+                if keys[-1] == (0, 0):
+                    # Submitted after (1, 0) and (2, 0), as a retry is.
+                    loop.submit(_draw_payload(0, attempt=1))
+        assert keys == [(0, 0), (0, 1), (1, 0), (2, 0)]
+
+
+class CountingClock(FakeClock):
+    def __init__(self):
+        super().__init__()
+        self.reads = 0
+
+    def __call__(self):
+        self.reads += 1
+        return self.now
+
+
+class TestClockReads:
+    def test_submit_reads_the_clock_only_with_a_timeout(self):
+        reads = {}
+        for timeout in (None, 1.0):
+            clock = CountingClock()
+            backend = ScriptedBackend(ScriptedSession(clock, []))
+            with dispatch(backend, clock=clock, timeout=timeout) as loop:
+                for index in range(3):
+                    loop.submit(Payload(index, 0))
+                reads[timeout] = clock.reads
+        # An injected clock (a ticking deadline clock, say) sees no
+        # read it did not ask for: none without a timeout, one per
+        # submit with one.
+        assert reads == {None: 0, 1.0: 3}

@@ -10,7 +10,11 @@ from repro.parallel.worker import (
     WorkerPayload,
     _transportable,
     execute_payload,
+    pool_entry,
 )
+from repro.queueing.replication import _run_failfast
+from repro.resilience import ResiliencePolicy, run_replications
+from repro.service.supervision import FAIL_FAST, ShardSupervisor
 from repro.utils.replication_context import current_attempt
 
 
@@ -124,3 +128,47 @@ class TestTransportable:
         assert isinstance(out, RuntimeError)
         assert "LocalError" in str(out)
         assert "outer" in str(out)
+
+
+class TestErrorOnlyReplacedAcrossProcesses:
+    """A task's exception stays the original object in this process;
+    only a pool worker's result carries the stand-in."""
+
+    @pytest.fixture
+    def boom(self):
+        class Boom(Exception):
+            """Not importable from a module, so pickle must fail."""
+
+        def task(index, generator):
+            raise Boom("shard blew up")
+
+        return Boom, task
+
+    def test_pool_entry_result_carries_stand_in(self, boom):
+        _, task = boom
+        result = pool_entry(_payload(task))
+        assert isinstance(result.error, RuntimeError)
+        assert str(result.error) == "Boom: shard blew up"
+        assert result.error_kind == "Boom"
+
+    def test_serial_shard_supervisor_raises_original(self, boom):
+        boom_class, task = boom
+        supervisor = ShardSupervisor(
+            lambda index, attempt: _payload(task, index, attempt),
+            2,
+            policy=FAIL_FAST,
+        )
+        with pytest.raises(boom_class, match="shard blew up"):
+            supervisor.run()
+
+    def test_serial_run_replications_raises_original(self, boom):
+        boom_class, task = boom
+        with pytest.raises(boom_class):
+            run_replications(
+                task, 2, rng=1, policy=ResiliencePolicy(max_retries=0)
+            )
+
+    def test_serial_run_failfast_raises_original(self, boom):
+        boom_class, task = boom
+        with pytest.raises(boom_class):
+            _run_failfast(task, 2, 1, None, "boom")

@@ -7,7 +7,6 @@ from repro.exceptions import SimulationError
 from repro.queueing.cell_level import (
     deterministic_smoothing_times,
     simulate_cell_level,
-    simulate_cell_level_batch,
 )
 from repro.queueing.workload import simulate_finite_buffer
 
@@ -143,34 +142,3 @@ class TestVectorizedScanRegression:
         assert chunked.lost_cells == baseline.lost_cells
         assert chunked.arrived_cells == baseline.arrived_cells
 
-
-class TestCellLevelBatch:
-    """The replication-axis scan: every replication's counts must be
-    bit-identical to running it alone, padding included."""
-
-    def test_matches_single_runs(self, rng):
-        reps = [
-            rng.integers(0, 20, size=(100, 2)),
-            rng.integers(0, 30, size=(80, 3)),  # ragged: fewer frames
-            rng.integers(0, 5, size=(100, 2)),  # underloaded
-        ]
-        batch = simulate_cell_level_batch(reps, 15, 10)
-        assert len(batch) == 3
-        for got, frames in zip(batch, reps):
-            single = simulate_cell_level(frames, 15, 10)
-            assert got.lost_cells == single.lost_cells
-            assert got.arrived_cells == single.arrived_cells
-
-    def test_padding_never_loses(self, rng):
-        # Extreme raggedness: a one-frame replication padded against a
-        # long one must not record pad-slot losses.
-        short = np.array([[3]])
-        long = rng.integers(10, 30, size=(200, 1))
-        batch = simulate_cell_level_batch([short, long], 8, 2)
-        single = simulate_cell_level(short, 8, 2)
-        assert batch[0].lost_cells == single.lost_cells
-        assert batch[0].arrived_cells == 3
-
-    def test_rejects_empty_replication(self):
-        with pytest.raises(SimulationError):
-            simulate_cell_level_batch([np.zeros((0, 2), int)], 5, 5)

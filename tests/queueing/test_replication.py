@@ -58,6 +58,12 @@ class TestReplicatedCLR:
         assert summary.observed_loss == (summary.total_lost > 0)
 
 
+    @pytest.mark.parametrize("batch", [0, -3, 2.5])
+    def test_serial_run_rejects_bad_batch(self, mux, batch):
+        with pytest.raises(ParameterError, match="batch"):
+            replicated_clr(mux, 200, 2, rng=1, batch=batch)
+
+
 class TestReplicatedCurve:
     def test_monotone_in_buffer(self, mux):
         buffers = np.array([0.0, 100.0, 500.0, 2000.0])
