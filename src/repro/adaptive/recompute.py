@@ -36,7 +36,7 @@ per-link seeded streams, pooled in link-index order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,7 +54,6 @@ from repro.obs import metrics as _metrics
 from repro.obs import spans as _spans
 from repro.obs.spans import span
 from repro.parallel.backends import Backend, resolve_backend
-from repro.parallel.worker import WorkerPayload
 from repro.service.engine import AdmissionEngine
 from repro.service.kernel import LinkLane
 from repro.service.supervision import FAIL_FAST, ShardSupervisor
@@ -253,82 +252,8 @@ class AdaptiveLinkStats:
         denominator = capacity * self.elapsed_seconds
         return self.carried_load_seconds / denominator if denominator else 0.0
 
-    # -- flat transport through WorkerResult arrays --------------------------
-
-    _FIELDS = (
-        "n_requests",
-        "admitted",
-        "blocked",
-        "peak_occupancy",
-        "boundary_violations",
-        "dropped",
-        "carried_load_seconds",
-        "elapsed_seconds",
-        "cache_hits",
-        "cache_misses",
-        "drift_detections",
-        "swaps",
-        "swap_request_index",
-        "first_detection_index",
-        "initial_admissible",
-        "final_admissible",
-        "generation",
-        "pre_switch_clr",
-        "post_switch_clr",
-    )
-
-    def as_array(self) -> np.ndarray:
-        """Fixed fields then bucket means then bucket counts."""
-        head = [float(getattr(self, name)) for name in self._FIELDS]
-        return np.asarray(
-            head
-            + [float(v) for v in self.clr_bucket_means]
-            + [float(v) for v in self.clr_bucket_counts]
-        )
-
-    @classmethod
-    def from_array(
-        cls, link_index: int, values: np.ndarray, n_buckets: int
-    ) -> "AdaptiveLinkStats":
-        values = np.asarray(values, dtype=float)
-        expected = len(cls._FIELDS) + 2 * n_buckets
-        if values.shape != (expected,):
-            raise ParameterError(
-                f"adaptive link-stats vector must have shape ({expected},), "
-                f"got {values.shape}"
-            )
-        data = dict(zip(cls._FIELDS, values))
-        offset = len(cls._FIELDS)
-        means = values[offset : offset + n_buckets]
-        counts = values[offset + n_buckets :]
-        return cls(
-            link_index=link_index,
-            n_requests=int(data["n_requests"]),
-            admitted=int(data["admitted"]),
-            blocked=int(data["blocked"]),
-            peak_occupancy=int(data["peak_occupancy"]),
-            boundary_violations=int(data["boundary_violations"]),
-            dropped=int(data["dropped"]),
-            carried_load_seconds=float(data["carried_load_seconds"]),
-            elapsed_seconds=float(data["elapsed_seconds"]),
-            cache_hits=int(data["cache_hits"]),
-            cache_misses=int(data["cache_misses"]),
-            drift_detections=int(data["drift_detections"]),
-            swaps=int(data["swaps"]),
-            swap_request_index=int(data["swap_request_index"]),
-            first_detection_index=int(data["first_detection_index"]),
-            initial_admissible=int(data["initial_admissible"]),
-            final_admissible=int(data["final_admissible"]),
-            generation=int(data["generation"]),
-            pre_switch_clr=float(data["pre_switch_clr"]),
-            post_switch_clr=float(data["post_switch_clr"]),
-            clr_bucket_means=tuple(float(v) for v in means),
-            clr_bucket_counts=tuple(int(v) for v in counts),
-        )
-
     def to_dict(self) -> dict:
-        data = {name: getattr(self, name) for name in self._FIELDS}
-        data["link_index"] = self.link_index
+        data = asdict(self)
         data["blocking_probability"] = self.blocking_probability
         data["final_clr"] = self.final_clr
         data["clr_bucket_means"] = list(self.clr_bucket_means)
@@ -407,7 +332,6 @@ def adaptive_replay_link(
     drift_threshold: float = 8.0,
     recompute_lag: int = 64,
     n_buckets: int = 20,
-    table_text: Optional[str] = None,
 ) -> AdaptiveLinkStats:
     """Replay one link's nonstationary workload, adapting (or not).
 
@@ -430,7 +354,7 @@ def adaptive_replay_link(
       occupancy)) accumulates into ``n_buckets`` trajectory buckets.
 
     Everything is a pure function of the seeded stream, so a parallel
-    run pools byte-identical per-link vectors.
+    run pools byte-identical per-link statistics.
     """
     check_integer(n_buckets, "n_buckets", minimum=1)
     check_integer(recompute_lag, "recompute_lag", minimum=0)
@@ -439,8 +363,6 @@ def adaptive_replay_link(
         raise ParameterError("adaptive replay needs a declared class mix")
 
     tables = DecisionTableCache(persist=False)
-    if table_text:
-        tables.load_text(table_text)
     engine = AdmissionEngine(policy=policy, tables=tables)
     link_id = f"link-{link_index}"
     link = engine.add_link(link_id, capacity, qos)
@@ -607,10 +529,9 @@ class _AdaptiveLinkTask:
     drift_threshold: float
     recompute_lag: int
     n_buckets: int
-    table_text: Optional[str] = None
 
     def __call__(self, index: int, generator: np.random.Generator):
-        stats = adaptive_replay_link(
+        return adaptive_replay_link(
             self.spec,
             self.declared,
             self.plan,
@@ -625,9 +546,7 @@ class _AdaptiveLinkTask:
             drift_threshold=self.drift_threshold,
             recompute_lag=self.recompute_lag,
             n_buckets=self.n_buckets,
-            table_text=self.table_text,
         )
-        return stats.as_array(), float(stats.n_requests)
 
 
 def adaptive_replay(
@@ -648,7 +567,6 @@ def adaptive_replay(
     n_buckets: int = 20,
     backend: Optional[Backend] = None,
     jobs: Optional[int] = None,
-    table_text: Optional[str] = None,
 ) -> AdaptiveSummary:
     """Replay the nonstationary workload on every link and pool.
 
@@ -672,22 +590,7 @@ def adaptive_replay(
         drift_threshold=float(drift_threshold),
         recompute_lag=int(recompute_lag),
         n_buckets=int(n_buckets),
-        table_text=table_text,
     )
-    telemetry = _spans.is_enabled()
-    generators = spawn_generators(rng, n_links)
-
-    def payload_factory(index: int, attempt: int) -> WorkerPayload:
-        return WorkerPayload(
-            index=index,
-            attempt=attempt,
-            task=task,
-            generator=generators[index],
-            label=f"adaptive-link-{index}",
-            telemetry=telemetry,
-            health_check=False,
-        )
-
     with span(
         "adaptive.replay",
         links=n_links,
@@ -695,13 +598,11 @@ def adaptive_replay(
         adapt=adapt,
         jobs=1 if exec_backend is None else exec_backend.jobs,
     ):
-        results = ShardSupervisor(
-            payload_factory, n_links, backend=exec_backend, policy=FAIL_FAST
+        links = ShardSupervisor(
+            [(task, stream) for stream in spawn_generators(rng, n_links)],
+            backend=exec_backend,
+            policy=FAIL_FAST,
         ).run()
-    links = [
-        AdaptiveLinkStats.from_array(i, results[i].lost, n_buckets)
-        for i in range(n_links)
-    ]
     return _pool_adaptive(
         policy, capacity, adapt, qos, plan, spec, links, n_buckets
     )

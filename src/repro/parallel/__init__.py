@@ -52,6 +52,7 @@ from repro.parallel.worker import (
     execute_payload,
     merge_result_telemetry,
     pool_entry,
+    replication_pair,
 )
 
 __all__ = [
@@ -76,6 +77,7 @@ __all__ = [
     "owned_segments",
     "pool_entry",
     "publish_blob",
+    "replication_pair",
     "resolve_backend",
     "set_default_backend",
     "shutdown_warm_pools",

@@ -1,9 +1,14 @@
 """The unit of work a backend ships to a worker, and its execution.
 
-A :class:`WorkerPayload` is one replication attempt: the picklable
-task object, the replication's own RNG stream, and flags describing
+A :class:`WorkerPayload` is one attempt of a replication or a shard:
+the picklable task object, its own RNG stream, and flags describing
 what the worker must do around it (telemetry capture, the engine's
-health checks); a :class:`WorkerBatchPayload` is a block of them.
+health checks); a :class:`WorkerBatchPayload` is a block of
+replications.  A :class:`WorkerResult` carries whatever the task
+returned: a replication's ``(lost, arrived)`` pair, which the
+replication paths normalise with :func:`replication_pair`, or a
+shard's own result object (``LinkStats``, ``ShardDriveStats``,
+``AdaptiveLinkStats``).
 :func:`execute` runs either *in the current process* — the serial
 backend calls it directly, so inline execution writes spans and
 metrics straight into the ambient collectors.  :func:`pool_entry` is
@@ -51,12 +56,12 @@ __all__ = [
     "execute_payload",
     "merge_result_telemetry",
     "pool_entry",
+    "replication_pair",
 ]
 
-#: A replication body: ``(index, generator) -> (lost, arrived)``.
-PayloadTask = Callable[
-    [int, np.random.Generator], Tuple[Union[float, np.ndarray], float]
-]
+#: A replication body, ``(index, generator) -> (lost, arrived)``, or a
+#: shard body returning its own result object.
+PayloadTask = Callable[[int, np.random.Generator], object]
 
 #: A batched body: ``(indices, generators) -> [(lost, arrived), ...]``,
 #: one pair per replication, in replication order.
@@ -68,7 +73,7 @@ BatchTask = Callable[
 
 @dataclass(frozen=True)
 class WorkerPayload:
-    """One replication attempt, ready to ship to any backend.
+    """One replication or shard attempt, ready to ship to any backend.
 
     Everything here must pickle under the ``spawn`` start method:
     ``task`` should be a module-level callable or instance of a
@@ -81,6 +86,8 @@ class WorkerPayload:
     generator: np.random.Generator
     label: str = ""
     telemetry: bool = False
+    #: The task returns a replication's ``(lost, arrived)`` pair, which
+    #: must be numerically healthy and non-empty.
     health_check: bool = True
     #: Serialized trace context (``tracectx.inject()``) captured at
     #: submit time, so worker spans join the supervisor's trace.
@@ -93,8 +100,8 @@ class WorkerResult:
 
     index: int
     attempt: int
-    lost: Union[None, float, np.ndarray] = None
-    arrived: Optional[float] = None
+    #: What the task returned.
+    value: object = None
     error: Optional[BaseException] = None
     error_kind: str = ""
     error_message: str = ""
@@ -178,6 +185,27 @@ def _transportable(exc: Exception) -> Exception:
         return RuntimeError(f"{type(exc).__name__}: {exc}")
 
 
+def replication_pair(value) -> Tuple[Union[float, np.ndarray], float]:
+    """A replication's ``(lost, arrived)`` as floats (``lost`` may be
+    a per-buffer vector)."""
+    lost, arrived = value
+    lost = float(lost) if np.ndim(lost) == 0 else np.asarray(lost, dtype=float)
+    return lost, float(arrived)
+
+
+def _check_replication(value, index: int) -> None:
+    """Reject a numerically unhealthy or empty replication."""
+    lost, arrived = value
+    arrived = float(arrived)
+    check_simulation_health(lost, arrived, context=f"replication {index}")
+    if arrived <= 0:
+        raise SimulationError(
+            f"replication {index} offered no cells; "
+            "its CLR contribution is undefined",
+            bad_replications=(index,),
+        )
+
+
 def execute_payload(payload: WorkerPayload) -> WorkerResult:
     """Run one payload in the current process.
 
@@ -198,18 +226,9 @@ def execute_payload(payload: WorkerPayload) -> WorkerResult:
                 attempt=payload.attempt,
                 label=payload.label,
             ):
-                lost, arrived = payload.task(payload.index, generator)
-            arrived = float(arrived)
+                value = payload.task(payload.index, generator)
             if payload.health_check:
-                check_simulation_health(
-                    lost, arrived, context=f"replication {payload.index}"
-                )
-                if arrived <= 0:
-                    raise SimulationError(
-                        f"replication {payload.index} offered no cells; "
-                        "its CLR contribution is undefined",
-                        bad_replications=(payload.index,),
-                    )
+                _check_replication(value, payload.index)
     except Exception as exc:
         return WorkerResult(
             index=payload.index,
@@ -220,14 +239,10 @@ def execute_payload(payload: WorkerPayload) -> WorkerResult:
             retryable=isinstance(exc, RETRYABLE_EXCEPTIONS),
             generator=generator,
         )
-    lost_value = (
-        float(lost) if np.ndim(lost) == 0 else np.asarray(lost, dtype=float)
-    )
     return WorkerResult(
         index=payload.index,
         attempt=payload.attempt,
-        lost=lost_value,
-        arrived=arrived,
+        value=value,
         generator=generator,
     )
 
@@ -237,9 +252,8 @@ def execute_batch_payload(payload: WorkerBatchPayload) -> WorkerBatchResult:
 
     The task is invoked once with the block's indices and generators
     and must return one ``(lost, arrived)`` pair per replication, in
-    order.  Health checks run per replication under its own
-    ``replication_attempt`` context so error messages carry the true
-    replication index.
+    order.  Health checks run per replication, so error messages carry
+    the true replication index.
     """
     indices = tuple(
         range(
@@ -262,32 +276,13 @@ def execute_batch_payload(payload: WorkerBatchPayload) -> WorkerBatchResult:
                 f"batch task returned {len(rows)} result(s) for "
                 f"{len(indices)} replication(s)"
             )
-        results = []
-        for index, (lost, arrived) in zip(indices, rows):
-            arrived = float(arrived)
-            if payload.health_check:
-                with replication_attempt(index, payload.attempt):
-                    check_simulation_health(
-                        lost, arrived, context=f"replication {index}"
-                    )
-                    if arrived <= 0:
-                        raise SimulationError(
-                            f"replication {index} offered no cells; "
-                            "its CLR contribution is undefined",
-                            bad_replications=(index,),
-                        )
-            results.append(
-                WorkerResult(
-                    index=index,
-                    attempt=payload.attempt,
-                    lost=(
-                        float(lost)
-                        if np.ndim(lost) == 0
-                        else np.asarray(lost, dtype=float)
-                    ),
-                    arrived=arrived,
-                )
-            )
+        if payload.health_check:
+            for index, row in zip(indices, rows):
+                _check_replication(row, index)
+        results = tuple(
+            WorkerResult(index=index, attempt=payload.attempt, value=row)
+            for index, row in zip(indices, rows)
+        )
     except Exception as exc:
         return WorkerBatchResult(
             base_index=payload.base_index,
@@ -300,7 +295,7 @@ def execute_batch_payload(payload: WorkerBatchPayload) -> WorkerBatchResult:
     return WorkerBatchResult(
         base_index=payload.base_index,
         attempt=payload.attempt,
-        results=tuple(results),
+        results=results,
     )
 
 

@@ -50,6 +50,7 @@ from repro.parallel.worker import (
     WorkerBatchResult,
     WorkerPayload,
     merge_result_telemetry,
+    replication_pair,
 )
 from repro.queueing.multiplexer import ATMMultiplexer
 from repro.queueing.statistics import (
@@ -410,7 +411,8 @@ def _replicate(
             batch_task=batch_task,
             batch_size=_resolve_batch(batch, n_replications, backend),
         )
-        return [r.lost for r in results], [r.arrived for r in results], {}, ()
+        lost, arrived = zip(*(replication_pair(r.value) for r in results))
+        return list(lost), list(arrived), {}, ()
     _reject_resilient_batch(batch)
     engine = run_replications(
         task,

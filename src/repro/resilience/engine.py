@@ -71,6 +71,7 @@ from repro.parallel.dispatch import Hang, dispatch
 from repro.parallel.worker import (
     WorkerPayload,
     merge_result_telemetry,
+    replication_pair,
 )
 from repro.resilience.checkpoint import (
     CheckpointFile,
@@ -367,10 +368,11 @@ def _supervise(
                     seeder.adopt_generator(result.index, result.generator)
                 _retry(result.index, result.attempt)
                 continue
+            lost, arrived = replication_pair(result.value)
             completed[result.index] = ReplicationOutcome(
                 index=result.index,
-                lost=result.lost,
-                arrived=result.arrived,
+                lost=lost,
+                arrived=arrived,
                 attempts=result.attempt + 1,
                 resumed=False,
             )

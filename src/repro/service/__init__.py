@@ -24,10 +24,12 @@ that the served boundary matches the offline one.
 * :mod:`repro.service.journal`  — append-only checksummed decision
   journals with periodic state snapshots; a restarted shard recovers
   its exact link state from them;
-* :mod:`repro.service.supervision` — the one fan-out path: run link or
-  shard tasks in this process or on a pool, on the shared loop of
-  :mod:`repro.parallel.dispatch`, restarting crashed/hung shards with
-  per-shard deadlines, heartbeats, and bounded retry;
+* :mod:`repro.service.supervision` — the one fan-out contract: run
+  ``(task, stream)`` shard pairs in this process or on a pool, on the
+  shared loop of :mod:`repro.parallel.dispatch`, each attempt on a
+  fresh copy of its stream, restarting crashed/hung shards with
+  per-shard deadlines, heartbeats, and bounded retry; and the one
+  decision-table hand-off to shards;
 * :mod:`repro.service.overload` — bounded admission queue, circuit
   breaker, and conservative peak-rate fallback under overload;
 * :mod:`repro.service.frontend` — the sharded admission frontend:

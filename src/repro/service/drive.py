@@ -1,7 +1,7 @@
 """Open-loop rho-driven load against the sharded admission frontend.
 
-The M/G/k harness of ``emcrisostomo/latency-simulation`` (PAPERS.md)
-is the exemplar this module transplants to connection admission
+The M/G/k harness of ``emcrisostomo/latency-simulation`` is the
+exemplar this module transplants to connection admission
 control: pick the *utilization* rho as the control variable, derive
 the open-loop arrival rate from it, sweep rho toward (and past) 1,
 and chart what the tail does.  For a link whose offline boundary
@@ -16,12 +16,16 @@ Execution is the frontend's sharded data plane, open-loop:
 * links are placed on shards by the same
   :class:`~repro.service.frontend.ConsistentHashRing` the frontend
   serves from;
+* the decision-table snapshot is the frontend's
+  (:func:`~repro.service.frontend.build_table_snapshot`), handed to
+  the shards by :func:`~repro.service.supervision.table_handoff` —
+  published **once** through :mod:`repro.parallel.shm` on a process
+  backend (no locks, no pickled tables);
 * each shard runs as one task through
   :class:`~repro.service.supervision.ShardSupervisor` on the
   :mod:`repro.parallel` backends — the warm worker pool for
-  ``jobs > 1`` — and builds its engines from the decision-table
-  snapshot published **once** through :mod:`repro.parallel.shm` (no
-  locks, no pickled tables);
+  ``jobs > 1`` — with its links' streams as the shard's stream, and
+  its :class:`ShardDriveStats` comes back as itself;
 * every link keeps its own ``SeedSequence``-spawned stream and its
   own per-link overload state, and each of its requests is one
   :meth:`~repro.service.kernel.LinkLane.step`, so the
@@ -57,20 +61,20 @@ from repro.obs import spans as _spans
 from repro.obs import tracectx as _tracectx
 from repro.obs.sketch import QuantileSketch
 from repro.obs.spans import span
-from repro.parallel.backends import (
-    Backend,
-    ProcessPoolBackend,
-    resolve_backend,
-)
-from repro.parallel.shm import attach_blob, publish_blob
-from repro.parallel.worker import WorkerPayload
+from repro.parallel.backends import Backend, resolve_backend
 from repro.service.engine import AdmissionEngine
-from repro.service.frontend import ConsistentHashRing
+from repro.service.frontend import ConsistentHashRing, build_table_snapshot
 from repro.service.kernel import LinkLane
 from repro.service.overload import OverloadPolicy
-from repro.service.supervision import FAIL_FAST, ShardSupervisor
+from repro.service.supervision import (
+    FAIL_FAST,
+    ShardSupervisor,
+    TableImage,
+    load_table,
+    table_handoff,
+)
 from repro.service.telemetry import AGGREGATE_LATENCY
-from repro.service.tables import SERVICE_METHODS, DecisionTableCache
+from repro.service.tables import SERVICE_METHODS
 from repro.service.workload import (
     ConnectionClass,
     WorkloadSpec,
@@ -131,49 +135,6 @@ class ShardDriveStats:
             self.n_requests / self.elapsed_seconds
             if self.elapsed_seconds
             else 0.0
-        )
-
-    # -- flat transport through WorkerResult arrays --------------------------
-
-    _FIELDS = (
-        "n_links",
-        "n_requests",
-        "admitted",
-        "blocked",
-        "shed",
-        "fallbacks",
-        "boundary_violations",
-        "peak_occupancy",
-        "elapsed_seconds",
-    )
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(
-            [float(getattr(self, name)) for name in self._FIELDS]
-        )
-
-    @classmethod
-    def from_array(
-        cls, shard_index: int, values: np.ndarray
-    ) -> "ShardDriveStats":
-        values = np.asarray(values, dtype=float)
-        if values.shape != (len(cls._FIELDS),):
-            raise ParameterError(
-                f"shard-stats vector must have shape "
-                f"({len(cls._FIELDS)},), got {values.shape}"
-            )
-        data = dict(zip(cls._FIELDS, values))
-        return cls(
-            shard_index=shard_index,
-            n_links=int(data["n_links"]),
-            n_requests=int(data["n_requests"]),
-            admitted=int(data["admitted"]),
-            blocked=int(data["blocked"]),
-            shed=int(data["shed"]),
-            fallbacks=int(data["fallbacks"]),
-            boundary_violations=int(data["boundary_violations"]),
-            peak_occupancy=int(data["peak_occupancy"]),
-            elapsed_seconds=float(data["elapsed_seconds"]),
         )
 
 
@@ -276,23 +237,22 @@ class DriveReport:
 class _ShardDriveTask:
     """Picklable body of one shard's open-loop drive.
 
-    Carries the shard's index, its links (ids with their pre-spawned
-    generators) and the address of the published table snapshot;
-    builds one engine per link — all sharing one cache loaded from
+    Carries the shard's index, its link ids and the table snapshot as
+    :func:`~repro.service.supervision.table_handoff` hands it over;
+    its stream is the tuple of its links' pre-spawned generators.
+    Builds one engine per link — all sharing one cache loaded from
     the snapshot — and processes the shard's merged arrival stream
     through them.
     """
 
     shard_index: int
     link_ids: Tuple[str, ...]
-    link_generators: Tuple[np.random.Generator, ...]
     classes: Tuple[ConnectionClass, ...]
     spec: WorkloadSpec
     capacity: float
     qos: QoSRequirement
     policy: str
-    table_image: Optional[dict] = None
-    table_text: Optional[str] = None
+    table_image: TableImage = None
     overload: Optional[OverloadPolicy] = None
     #: Optional nonstationary schedule (``repro.adaptive``): regime
     #: switches and diurnal ramps reshape each link's arrival stream
@@ -318,87 +278,80 @@ class _ShardDriveTask:
             link_generator,
         ).workload
 
-    def __call__(self, index: int, generator: np.random.Generator):
-        stats = _drive_shard(self, self.shard_index)
-        return stats.as_array(), float(stats.n_requests)
+    def __call__(
+        self, index: int, link_generators: Tuple[np.random.Generator, ...]
+    ) -> ShardDriveStats:
+        """Run the shard's decision loop (in a worker or inline).
 
+        One :class:`~repro.service.kernel.LinkLane` per link, all
+        sharing the shard's cache; each request of the merged stream
+        is one ``lane.step`` of its link, the step
+        :func:`~repro.service.replay.replay_link` runs too.
+        """
+        tables = load_table(self.table_image)
+        models = [c.model for c in self.classes]
 
-def _drive_shard(task: _ShardDriveTask, shard_index: int) -> ShardDriveStats:
-    """Run one shard's decision loop (in a worker or inline).
+        workloads = [self.generate(g) for g in link_generators]
+        lanes: List[LinkLane] = []
+        for link_id, workload in zip(self.link_ids, workloads):
+            engine = AdmissionEngine(
+                policy=self.policy, tables=tables, overload=self.overload
+            )
+            engine.add_link(link_id, self.capacity, self.qos)
+            lanes.append(LinkLane(engine, link_id, workload, models))
 
-    One :class:`~repro.service.kernel.LinkLane` per link, all sharing
-    the shard's cache; each request of the merged stream is one
-    ``lane.step`` of its link, the step
-    :func:`~repro.service.replay.replay_link` runs too.
-    """
-    tables = DecisionTableCache(persist=False)
-    if task.table_image is not None:
-        tables.load_text(attach_blob(task.table_image).decode("utf-8"))
-    elif task.table_text is not None:
-        tables.load_text(task.table_text)
-    models = [c.model for c in task.classes]
-
-    workloads = [task.generate(g) for g in task.link_generators]
-    lanes: List[LinkLane] = []
-    for link_id, workload in zip(task.link_ids, workloads):
-        engine = AdmissionEngine(
-            policy=task.policy, tables=tables, overload=task.overload
+        # Merge the shard's links into one time-ordered open-loop stream.
+        # Stable ordering keeps ties deterministic (and per-link order
+        # intact, which the per-link byte-identity contract rests on).
+        arrivals = np.concatenate([w.arrival_times for w in workloads])
+        link_of = np.concatenate(
+            [
+                np.full(w.n_requests, i, dtype=np.int64)
+                for i, w in enumerate(workloads)
+            ]
         )
-        engine.add_link(link_id, task.capacity, task.qos)
-        lanes.append(LinkLane(engine, link_id, workload, models))
+        req_of = np.concatenate(
+            [np.arange(w.n_requests, dtype=np.int64) for w in workloads]
+        )
+        order = np.argsort(arrivals, kind="stable")
+        n_requests = int(arrivals.shape[0])
+        steps = [lane.step for lane in lanes]
 
-    # Merge the shard's links into one time-ordered open-loop stream.
-    # Stable ordering keeps ties deterministic (and per-link order
-    # intact, which the per-link byte-identity contract rests on).
-    arrivals = np.concatenate([w.arrival_times for w in workloads])
-    link_of = np.concatenate(
-        [
-            np.full(w.n_requests, i, dtype=np.int64)
-            for i, w in enumerate(workloads)
-        ]
-    )
-    req_of = np.concatenate(
-        [np.arange(w.n_requests, dtype=np.int64) for w in workloads]
-    )
-    order = np.argsort(arrivals, kind="stable")
-    n_requests = int(arrivals.shape[0])
-    steps = [lane.step for lane in lanes]
-
-    started = time.perf_counter()
-    with span(
-        "service.frontend.drive_shard",
-        shard=shard_index,
-        links=len(lanes),
-        requests=n_requests,
-        policy=task.policy,
-    ):
-        for link_index, j in zip(
-            link_of[order].tolist(), req_of[order].tolist()
+        started = time.perf_counter()
+        with span(
+            "service.frontend.drive_shard",
+            shard=self.shard_index,
+            links=len(lanes),
+            requests=n_requests,
+            policy=self.policy,
         ):
-            steps[link_index](j)
-        # Inside the timed region: publishing the links' recorders is
-        # part of the shard's work, so elapsed_seconds must count it.
-        for lane in lanes:
-            lane.engine.flush_telemetry()
-    elapsed = time.perf_counter() - started
+            for link_index, j in zip(
+                link_of[order].tolist(), req_of[order].tolist()
+            ):
+                steps[link_index](j)
+            # Inside the timed region: publishing the links' recorders is
+            # part of the shard's work, so elapsed_seconds must count it.
+            for lane in lanes:
+                lane.engine.flush_telemetry()
+        elapsed = time.perf_counter() - started
 
-    boundary_violations = sum(lane.boundary_violations for lane in lanes)
-    if _spans._ENABLED:
-        _metrics.add("service.frontend.requests", n_requests)
-        _metrics.add("service.boundary_violations", boundary_violations)
+        boundary_violations = sum(lane.boundary_violations for lane in lanes)
+        if _spans._ENABLED:
+            _metrics.add("service.frontend.requests", n_requests)
+            _metrics.add("service.boundary_violations", boundary_violations)
 
-    return ShardDriveStats(
-        shard_index=shard_index,
-        n_links=len(lanes),
-        n_requests=n_requests,
-        admitted=sum(lane.admitted for lane in lanes),
-        blocked=sum(lane.blocked for lane in lanes),
-        shed=sum(lane.shed for lane in lanes),
-        fallbacks=sum(lane.fallbacks for lane in lanes),
-        boundary_violations=boundary_violations,
-        peak_occupancy=max(lane.peak_occupancy for lane in lanes),
-        elapsed_seconds=elapsed,
-    )
+        return ShardDriveStats(
+            shard_index=self.shard_index,
+            n_links=len(lanes),
+            n_requests=n_requests,
+            admitted=sum(lane.admitted for lane in lanes),
+            blocked=sum(lane.blocked for lane in lanes),
+            shed=sum(lane.shed for lane in lanes),
+            fallbacks=sum(lane.fallbacks for lane in lanes),
+            boundary_violations=boundary_violations,
+            peak_occupancy=max(lane.peak_occupancy for lane in lanes),
+            elapsed_seconds=elapsed,
+        )
 
 
 def _empty_shard_stats(shard_index: int) -> ShardDriveStats:
@@ -459,7 +412,6 @@ def drive(
     backend: Optional[Backend] = None,
     jobs: Optional[int] = None,
     overload: Optional[OverloadPolicy] = None,
-    ring_replicas: int = 64,
     table_path=None,
     regime_plan=None,
     regime_classes: Optional[Sequence[ConnectionClass]] = None,
@@ -512,39 +464,34 @@ def drive(
 
     # Warm every decision the sweep can need — primary and breaker
     # fallback per class — once, then freeze the table as a snapshot.
-    fallback = (
-        overload.fallback_method if overload is not None else "peak-rate"
+    table_text = build_table_snapshot(
+        classes,
+        capacity=capacity,
+        qos=qos,
+        policy=policy,
+        fallback_method=(
+            overload.fallback_method if overload is not None else "peak-rate"
+        ),
+        table_path=table_path,
     )
-    staging = DecisionTableCache(path=table_path)
-    boundary = staging.lookup(classes[0].model, capacity, qos, policy)
-    for cls in classes:
-        staging.lookup(cls.model, capacity, qos, policy)
-        if fallback != policy:
-            staging.lookup(cls.model, capacity, qos, fallback)
+    boundary = load_table(table_text).peek(
+        classes[0].model, capacity, qos, policy
+    )
     admissible = max(boundary.admissible, 1)
-    table_text = staging.dump_text()
 
-    ring = ConsistentHashRing(n_shards, replicas=ring_replicas)
+    ring = ConsistentHashRing(n_shards)
     link_ids = [f"link-{i}" for i in range(n_links)]
     shard_links: List[List[int]] = [[] for _ in range(n_shards)]
     for link_index, link_id in enumerate(link_ids):
         shard_links[ring.shard_for(link_id)].append(link_index)
-    # An unowned shard offers no requests; the worker health check
-    # would (rightly) reject an empty attempt, so only owned shards
-    # are dispatched.
-    owned = [i for i in range(n_shards) if shard_links[i]]
-
-    table_handle = None
-    table_image = None
-    if isinstance(exec_backend, ProcessPoolBackend):
-        table_handle = publish_blob(table_text.encode("utf-8"))
-        table_image = table_handle.descriptor
 
     previously_enabled = _spans.is_enabled()
     _spans.enable()
     points: List[DrivePoint] = []
     try:
-        with _tracectx.start_trace():
+        with table_handoff(
+            table_text, exec_backend
+        ) as table_image, _tracectx.start_trace():
             for rho in rho_grid:
                 latency_before = _latency_snapshot()
                 arrival_rate = derive_arrival_rate(
@@ -561,47 +508,32 @@ def drive(
                 # workload is the same no matter which shard serves it
                 # (or how many shards/jobs there are).
                 link_generators = spawn_generators(seed, n_links)
-                tasks = [
-                    _ShardDriveTask(
-                        shard_index=shard_index,
-                        link_ids=tuple(
-                            link_ids[i] for i in shard_links[shard_index]
+                work = [
+                    (
+                        _ShardDriveTask(
+                            shard_index=shard_index,
+                            link_ids=tuple(link_ids[i] for i in links),
+                            classes=classes,
+                            spec=spec,
+                            capacity=float(capacity),
+                            qos=qos,
+                            policy=policy,
+                            table_image=table_image,
+                            overload=overload,
+                            regime_plan=regime_plan,
+                            regime_classes=(
+                                None
+                                if regime_classes is None
+                                else tuple(regime_classes)
+                            ),
                         ),
-                        link_generators=tuple(
-                            link_generators[i]
-                            for i in shard_links[shard_index]
-                        ),
-                        classes=classes,
-                        spec=spec,
-                        capacity=float(capacity),
-                        qos=qos,
-                        policy=policy,
-                        table_image=table_image,
-                        table_text=(
-                            None if table_image is not None else table_text
-                        ),
-                        overload=overload,
-                        regime_plan=regime_plan,
-                        regime_classes=(
-                            None
-                            if regime_classes is None
-                            else tuple(regime_classes)
-                        ),
+                        tuple(link_generators[i] for i in links),
                     )
-                    for shard_index in owned
+                    for shard_index, links in enumerate(shard_links)
+                    # Only the shards the ring gave links run; the
+                    # rest report zeros.
+                    if links
                 ]
-
-                def payload_factory(position: int, attempt: int):
-                    task = tasks[position]
-                    return WorkerPayload(
-                        index=position,
-                        attempt=attempt,
-                        task=task,
-                        generator=task.link_generators[0],
-                        label=f"drive-shard-{task.shard_index}",
-                        telemetry=True,
-                        health_check=True,
-                    )
 
                 wall_started = time.perf_counter()
                 with span(
@@ -613,19 +545,11 @@ def drive(
                     jobs=effective_jobs,
                 ):
                     results = ShardSupervisor(
-                        payload_factory,
-                        len(owned),
-                        backend=exec_backend,
-                        policy=FAIL_FAST,
+                        work, backend=exec_backend, policy=FAIL_FAST
                     ).run()
                 wall_seconds = time.perf_counter() - wall_started
 
-                by_shard = {
-                    shard_index: ShardDriveStats.from_array(
-                        shard_index, result.lost
-                    )
-                    for shard_index, result in zip(owned, results)
-                }
+                by_shard = {stats.shard_index: stats for stats in results}
                 shards = tuple(
                     by_shard[i] if i in by_shard else _empty_shard_stats(i)
                     for i in range(n_shards)
@@ -661,8 +585,6 @@ def drive(
                     )
                 )
     finally:
-        if table_handle is not None:
-            table_handle.unlink()
         if not previously_enabled:
             _spans.disable()
 

@@ -225,7 +225,6 @@ class AdmissionFrontend:
         policy: str = "bahadur-rao",
         n_shards: int = 1,
         overload: Optional[OverloadPolicy] = None,
-        ring_replicas: int = 64,
         table_path=None,
         publish: bool = True,
     ):
@@ -252,7 +251,7 @@ class AdmissionFrontend:
                     f"class names must be unique, got duplicate {cls.name!r}"
                 )
             self._classes[cls.name] = cls
-        self.ring = ConsistentHashRing(n_shards, replicas=ring_replicas)
+        self.ring = ConsistentHashRing(n_shards)
         fallback = (
             overload.fallback_method if overload is not None else "peak-rate"
         )

@@ -17,17 +17,20 @@ Scale comes from two places:
   measured ratio);
 * **link sharding** — links are statistically independent (their RNG
   streams are ``SeedSequence``-spawned children of one seed), so the
-  replay fans them out across the :mod:`repro.parallel` backends.  As
+  replay fans them out across the :mod:`repro.parallel` backends
+  through :class:`~repro.service.supervision.ShardSupervisor`.  As
   everywhere in this library, parallel runs are **bit-identical** to
   serial ones: per-link statistics are computed by identical code on
-  identical generator states and pooled in link-index order, so the
-  summary — including every float — does not depend on ``jobs``.
+  identical generator states, come back as :class:`LinkStats`
+  objects, and are pooled in link-index order, so the summary —
+  including every float — does not depend on ``jobs``.
 
 Fault tolerance extends that contract to crashes.  With
 ``journal_dir=`` each link shard journals every decision
 (:mod:`repro.service.journal`) and snapshots its full state
 periodically; with ``supervision=`` a crashed or hung shard is
-restarted (:mod:`repro.service.supervision`) and the fresh attempt
+restarted (:mod:`repro.service.supervision`, which hands every
+attempt an unadvanced copy of the link's stream) and the fresh attempt
 recovers from the journal — restoring accumulators, the departure
 heap, table counters, and overload state *exactly*, then re-applying
 the post-snapshot events — so a recovered replay's summary is
@@ -48,7 +51,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import pickle
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -61,13 +63,7 @@ from repro.exceptions import JournalError, ParameterError
 from repro.obs import metrics as _metrics
 from repro.obs import spans as _spans
 from repro.obs.spans import span
-from repro.parallel.backends import (
-    Backend,
-    ProcessPoolBackend,
-    resolve_backend,
-)
-from repro.parallel.shm import attach_blob, publish_blob
-from repro.parallel.worker import WorkerPayload
+from repro.parallel.backends import Backend, resolve_backend
 from repro.resilience.faults import (
     NO_CUES,
     FaultyDecisionTables,
@@ -86,6 +82,9 @@ from repro.service.supervision import (
     FAIL_FAST,
     ShardSupervisor,
     SupervisionPolicy,
+    TableImage,
+    load_table,
+    table_handoff,
 )
 from repro.service.tables import DecisionTableCache, model_fingerprint
 from repro.service.workload import (
@@ -141,54 +140,6 @@ class LinkStats:
         """Time-averaged carried load as a fraction of ``capacity``."""
         denominator = capacity * self.elapsed_seconds
         return self.carried_load_seconds / denominator if denominator else 0.0
-
-    # -- flat transport through WorkerResult arrays --------------------------
-
-    _FIELDS = (
-        "n_requests",
-        "admitted",
-        "blocked",
-        "shed",
-        "fallbacks",
-        "peak_occupancy",
-        "admissible",
-        "boundary_violations",
-        "carried_load_seconds",
-        "elapsed_seconds",
-        "cache_hits",
-        "cache_misses",
-    )
-
-    def as_array(self) -> np.ndarray:
-        """Encode as the float vector a worker ships back."""
-        return np.asarray(
-            [float(getattr(self, name)) for name in self._FIELDS]
-        )
-
-    @classmethod
-    def from_array(cls, link_index: int, values: np.ndarray) -> "LinkStats":
-        values = np.asarray(values, dtype=float)
-        if values.shape != (len(cls._FIELDS),):
-            raise ParameterError(
-                f"link-stats vector must have shape ({len(cls._FIELDS)},), "
-                f"got {values.shape}"
-            )
-        data = dict(zip(cls._FIELDS, values))
-        return cls(
-            link_index=link_index,
-            n_requests=int(data["n_requests"]),
-            admitted=int(data["admitted"]),
-            blocked=int(data["blocked"]),
-            shed=int(data["shed"]),
-            fallbacks=int(data["fallbacks"]),
-            peak_occupancy=int(data["peak_occupancy"]),
-            admissible=int(data["admissible"]),
-            boundary_violations=int(data["boundary_violations"]),
-            carried_load_seconds=float(data["carried_load_seconds"]),
-            elapsed_seconds=float(data["elapsed_seconds"]),
-            cache_hits=int(data["cache_hits"]),
-            cache_misses=int(data["cache_misses"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -267,7 +218,7 @@ def replay_link(
     rng: RngLike,
     link_index: int = 0,
     table_path=None,
-    table_image: Optional[dict] = None,
+    table_image: TableImage = None,
     journal_prefix=None,
     snapshot_every: int = 2000,
     overload: Optional[OverloadPolicy] = None,
@@ -275,12 +226,12 @@ def replay_link(
 ) -> LinkStats:
     """Replay one link's workload through a fresh engine.
 
-    ``table_image`` is a :mod:`repro.parallel.shm` blob descriptor of
-    the persisted table file's bytes; when set, the link loads its
-    decision table from shared memory instead of re-reading
-    ``table_path`` from disk — the multi-process driver publishes the
-    file once and every shard maps the same pages.  The resulting
-    cache state (entries, counters) is identical to a file load.
+    The link's decision table starts from the persisted file at
+    ``table_path`` or, failing that, from ``table_image`` — the
+    table as :func:`~repro.service.supervision.table_handoff` hands
+    it to shards (its JSONL text, or a shared-memory descriptor of
+    it).  Either way the cache state (entries, counters) is identical
+    to a file load.
 
     Event-driven: each request, in arrival order, is one
     :meth:`~repro.service.kernel.LinkLane.step` — departures drained
@@ -308,13 +259,11 @@ def replay_link(
         else NO_CUES
     )
 
-    if table_image is not None:
-        tables = DecisionTableCache(persist=False)
-        tables.load_text(attach_blob(table_image).decode("utf-8"))
-    elif table_path is not None:
-        tables = DecisionTableCache(path=table_path, persist=False)
-    else:
-        tables = DecisionTableCache()
+    tables = (
+        load_table(table_image)
+        if table_path is None
+        else DecisionTableCache(path=table_path, persist=False)
+    )
     faulty_tables = None
     if cues.table_faults:
         faulty_tables = FaultyDecisionTables(tables, cues.table_faults, policy)
@@ -463,8 +412,7 @@ class _LinkReplayTask:
     capacity: float
     qos: QoSRequirement
     policy: str
-    table_path: Optional[str] = None
-    table_image: Optional[dict] = None
+    table_image: TableImage = None
     journal_dir: Optional[str] = None
     snapshot_every: int = 2000
     overload: Optional[OverloadPolicy] = None
@@ -476,7 +424,7 @@ class _LinkReplayTask:
             if self.journal_dir is None
             else str(Path(self.journal_dir) / f"link-{index}")
         )
-        stats = replay_link(
+        return replay_link(
             self.spec,
             self.classes,
             capacity=self.capacity,
@@ -484,14 +432,12 @@ class _LinkReplayTask:
             policy=self.policy,
             rng=generator,
             link_index=index,
-            table_path=self.table_path,
             table_image=self.table_image,
             journal_prefix=journal_prefix,
             snapshot_every=self.snapshot_every,
             overload=self.overload,
             faults=self.faults,
         )
-        return stats.as_array(), float(stats.n_requests)
 
 
 def _pool_links(
@@ -580,69 +526,31 @@ def replay_workload(
             "replay would simply die at the first injected fault)"
         )
     exec_backend = resolve_backend(backend, jobs)
-    # On a process backend, ship the persisted decision table to the
-    # shards as one shared-memory image instead of n_links disk reads
-    # (and n_links pickled paths racing the filesystem cache): the
-    # parent publishes the file bytes once, every worker maps the same
-    # pages, and the segment is unlinked when the replay returns.
-    table_handle = None
-    table_image = None
-    if table_path is not None and isinstance(
-        exec_backend, ProcessPoolBackend
-    ):
-        table_file = Path(table_path)
-        if table_file.exists():
-            table_handle = publish_blob(table_file.read_bytes())
-            table_image = table_handle.descriptor
-    task = _LinkReplayTask(
-        spec=spec,
-        classes=tuple(classes),
-        capacity=float(capacity),
-        qos=qos,
+    table_text = None
+    if table_path is not None and Path(table_path).exists():
+        table_text = Path(table_path).read_text(encoding="utf-8")
+    with table_handoff(table_text, exec_backend) as table_image, span(
+        "service.replay",
+        links=n_links,
+        requests=spec.n_requests * n_links,
         policy=policy,
-        table_path=None if table_path is None else str(table_path),
-        table_image=table_image,
-        journal_dir=None if journal_dir is None else str(journal_dir),
-        snapshot_every=snapshot_every,
-        overload=overload,
-        faults=faults,
-    )
-    telemetry = _spans.is_enabled()
-    generators = spawn_generators(rng, n_links)
-
-    def payload_factory(index: int, attempt: int) -> WorkerPayload:
-        # Each attempt replays from a pristine copy of the link's
-        # stream: inline execution advances a generator in place, and
-        # a restarted attempt must regenerate the identical workload.
-        generator = pickle.loads(pickle.dumps(generators[index]))
-        return WorkerPayload(
-            index=index,
-            attempt=attempt,
-            task=task,
-            generator=generator,
-            label=f"workload-link-{index}",
-            telemetry=telemetry,
-            health_check=True,
-        )
-
-    try:
-        with span(
-            "service.replay",
-            links=n_links,
-            requests=spec.n_requests * n_links,
+        jobs=1 if exec_backend is None else exec_backend.jobs,
+    ):
+        task = _LinkReplayTask(
+            spec=spec,
+            classes=tuple(classes),
+            capacity=float(capacity),
+            qos=qos,
             policy=policy,
-            jobs=1 if exec_backend is None else exec_backend.jobs,
-        ):
-            results = ShardSupervisor(
-                payload_factory,
-                n_links,
-                backend=exec_backend,
-                policy=supervision if supervision is not None else FAIL_FAST,
-            ).run()
-    finally:
-        if table_handle is not None:
-            table_handle.unlink()
-    links = [
-        LinkStats.from_array(i, results[i].lost) for i in range(n_links)
-    ]
+            table_image=table_image,
+            journal_dir=None if journal_dir is None else str(journal_dir),
+            snapshot_every=snapshot_every,
+            overload=overload,
+            faults=faults,
+        )
+        links = ShardSupervisor(
+            [(task, stream) for stream in spawn_generators(rng, n_links)],
+            backend=exec_backend,
+            policy=supervision if supervision is not None else FAIL_FAST,
+        ).run()
     return _pool_links(policy, capacity, spec, links)

@@ -25,12 +25,22 @@ budget adds a restart policy on top of that loop:
   file, which the fresh attempt reads read-only — the two never write
   the same file.
 
-Restart attempts re-enter the payload factory, so each attempt starts
-from pristine inputs (the replay driver hands every attempt an
-unadvanced copy of the link's RNG stream) and reads its attempt
-number from the ambient replication context — the same mechanism
-:mod:`repro.resilience.faults` uses to address injected faults at
-``(shard, attempt)`` granularity.
+A caller hands the supervisor what each shard runs and that shard's
+RNG stream; the supervisor builds every attempt's payload itself, from
+a fresh copy of the stream, so a restarted shard starts from the
+unadvanced stream even when its task advanced the stream in place.
+The attempt reads its number from the ambient replication context —
+the same mechanism :mod:`repro.resilience.faults` uses to address
+injected faults at ``(shard, attempt)`` granularity.  A shard's result
+(``LinkStats``, ``ShardDriveStats``, ``AdaptiveLinkStats``) crosses
+the process boundary as itself, and :meth:`ShardSupervisor.run`
+returns the results in shard-index order.
+
+A decision table reaches shards one way (:func:`table_handoff`): on a
+process backend its JSONL text is published once through
+:mod:`repro.parallel.shm` and every shard maps the same pages;
+otherwise shards receive the text itself.  :func:`load_table` turns
+either into a shard's private read-only cache.
 
 Determinism: restarts change *when* results arrive, never *what* they
 contain.  Results are returned in shard-index order and, because a
@@ -53,21 +63,26 @@ before any later shard.
 
 from __future__ import annotations
 
+import copy
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import ParameterError, SimulationError
 from repro.obs import metrics as _metrics
 from repro.obs import spans as _spans
 from repro.obs.spans import span
-from repro.parallel.backends import Backend
+from repro.parallel.backends import Backend, ProcessPoolBackend
 from repro.parallel.dispatch import Hang, dispatch
+from repro.parallel.shm import attach_blob, publish_blob
 from repro.parallel.worker import (
+    PayloadTask,
     WorkerPayload,
     WorkerResult,
     merge_result_telemetry,
 )
+from repro.service.tables import DecisionTableCache
 from repro.utils.validation import check_integer, check_positive
 
 __all__ = [
@@ -75,11 +90,41 @@ __all__ = [
     "ShardReport",
     "ShardSupervisor",
     "SupervisionPolicy",
+    "load_table",
+    "table_handoff",
 ]
 
-#: Builds the payload for one (shard, attempt); called afresh on every
-#: restart so each attempt starts from pristine inputs.
-PayloadFactory = Callable[[int, int], WorkerPayload]
+#: A decision table as shards receive it: its JSONL text, or the
+#: shared-memory descriptor of that text (None: no table).
+TableImage = Union[None, str, dict]
+
+
+@contextmanager
+def table_handoff(
+    text: Optional[str], backend: Optional[Backend]
+) -> Iterator[TableImage]:
+    """How a decision table reaches the shards of one fan-out.
+
+    On a process backend the text is published once through
+    :mod:`repro.parallel.shm`, shards receive the segment's descriptor
+    (no pickled tables, one set of pages for every worker), and the
+    segment is unlinked on exit; otherwise shards receive ``text``.
+    """
+    if text is None or not isinstance(backend, ProcessPoolBackend):
+        yield text
+        return
+    with publish_blob(text.encode("utf-8")) as blob:
+        yield blob.descriptor
+
+
+def load_table(image: TableImage) -> DecisionTableCache:
+    """A shard's private read-only cache, loaded from ``image``."""
+    tables = DecisionTableCache(persist=False)
+    if isinstance(image, dict):
+        image = attach_blob(image).decode("utf-8")
+    if image is not None:
+        tables.load_text(image)
+    return tables
 
 
 @dataclass(frozen=True)
@@ -150,15 +195,17 @@ FAIL_FAST = SupervisionPolicy(max_restarts=0)
 
 
 class ShardSupervisor:
-    """Run ``n_shards`` payloads to completion, restarting failures.
+    """Run one task per shard to completion, restarting failures.
 
     Parameters
     ----------
-    payload_factory:
-        ``(index, attempt) -> WorkerPayload``; invoked once per
-        attempt, including restarts.
-    n_shards:
-        Shard count; results are returned in index order.
+    shards:
+        One ``(task, stream)`` pair per shard, in index order: what
+        the shard runs, ``task(index, stream) -> result`` (picklable
+        for a process backend; a serial run never pickles it), and its
+        RNG stream — a ``Generator``, or a tuple of them for a shard
+        serving several links.  Every attempt runs on a fresh copy of
+        the stream.
     backend:
         A :class:`~repro.parallel.backends.Backend`, or None to run
         the shards in this process on a
@@ -170,20 +217,19 @@ class ShardSupervisor:
 
     def __init__(
         self,
-        payload_factory: PayloadFactory,
-        n_shards: int,
+        shards: Sequence[Tuple[PayloadTask, object]],
         *,
         backend: Optional[Backend] = None,
         policy: Optional[SupervisionPolicy] = None,
     ):
-        self.payload_factory = payload_factory
-        self.n_shards = check_integer(n_shards, "n_shards", minimum=1)
+        self.shards = tuple(shards)
+        self.n_shards = check_integer(len(self.shards), "n_shards", minimum=1)
         self.backend = backend
         self.policy = policy if policy is not None else SupervisionPolicy()
         self.reports: List[ShardReport] = []
 
-    def run(self) -> List[WorkerResult]:
-        """All shards' successful results, in shard-index order.
+    def run(self) -> list:
+        """Every shard's result, in shard-index order.
 
         Raises the final attempt's error once a shard exhausts its
         restart budget (fail-fast semantics preserved — partial
@@ -196,13 +242,26 @@ class ShardSupervisor:
         with span(
             "service.supervisor",
             shards=self.n_shards,
-            backend="inline" if self.backend is None else self.backend.name,
+            backend="serial" if self.backend is None else self.backend.name,
             max_restarts=self.policy.max_restarts,
         ):
             results = self._run()
             for result in results:
                 merge_result_telemetry(result)
-            return results
+            return [result.value for result in results]
+
+    def _payload(
+        self, index: int, attempt: int, telemetry: bool
+    ) -> WorkerPayload:
+        task, stream = self.shards[index]
+        return WorkerPayload(
+            index=index,
+            attempt=attempt,
+            task=task,
+            generator=copy.deepcopy(stream),
+            telemetry=telemetry,
+            health_check=False,
+        )
 
     def _register_failure(
         self, index: int, attempt: int, error: BaseException, *, hang: bool
@@ -227,6 +286,7 @@ class ShardSupervisor:
 
     def _run(self) -> List[WorkerResult]:
         policy = self.policy
+        telemetry = _spans.is_enabled()
         results: List[Optional[WorkerResult]] = [None] * self.n_shards
         with dispatch(
             self.backend,
@@ -243,10 +303,10 @@ class ShardSupervisor:
                 attempt = self._register_failure(
                     index, attempt, error, hang=hang
                 )
-                loop.submit(self.payload_factory(index, attempt))
+                loop.submit(self._payload(index, attempt, telemetry))
 
             for index in range(self.n_shards):
-                loop.submit(self.payload_factory(index, 0))
+                loop.submit(self._payload(index, 0, telemetry))
             for event in loop.events():
                 if isinstance(event, Hang):
                     restart(

@@ -14,7 +14,6 @@ import pytest
 
 from repro.adaptive.nonstationary import parse_regime_plan
 from repro.adaptive.recompute import (
-    AdaptiveLinkStats,
     RecomputeEngine,
     adaptive_replay,
     adaptive_replay_link,
@@ -233,16 +232,6 @@ class TestTelemetry:
         fed = sum(link.n_requests for link in summary.links)
         assert fed == 2 * DEMO_SPEC.n_requests
         assert counters["adaptive.samples_observed"] == fed
-
-
-class TestLinkStatsRoundTrip:
-    def test_from_array_inverts_as_array(self):
-        stats = _demo_replay(adapt=True).links[0]
-        rebuilt = AdaptiveLinkStats.from_array(
-            stats.link_index, stats.as_array(),
-            len(stats.clr_bucket_means),
-        )
-        assert rebuilt == stats
 
 
 class TestSingleLinkReplay:

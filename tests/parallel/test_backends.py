@@ -54,8 +54,8 @@ class TestSerialBackend:
         with SerialBackend().session() as session:
             session.submit(_payload(3))
             result = session.next_completed()
-        assert result.lost == 6.0
-        assert result.arrived == 100.0
+        assert result.value[0] == 6.0
+        assert result.value[1] == 100.0
         assert not result.failed
 
     def test_empty_session_raises(self):
@@ -86,7 +86,7 @@ class TestProcessPoolBackend:
                 results.append(session.next_completed())
         assert sorted(r.index for r in results) == [0, 1, 2, 3, 4]
         by_index = {r.index: r for r in results}
-        assert all(by_index[i].lost == 2.0 * i for i in range(5))
+        assert all(by_index[i].value[0] == 2.0 * i for i in range(5))
 
     def test_empty_session_raises(self):
         with ProcessPoolBackend(2).session() as session:
@@ -106,7 +106,7 @@ class TestWarmPoolBackend:
                     health_check=False,
                 )
             )
-            return int(session.next_completed().lost)
+            return int(session.next_completed().value[0])
 
     def test_workers_persist_across_sessions(self):
         backend = WarmPoolBackend(1, idle_timeout_seconds=None)
@@ -168,7 +168,7 @@ class TestWarmPoolBackend:
             backend.shutdown()
         assert sorted(r.index for r in results) == [0, 1, 2, 3, 4]
         assert all(
-            r.lost == 2.0 * r.index and not r.failed for r in results
+            r.value[0] == 2.0 * r.index and not r.failed for r in results
         )
 
     def test_shared_registry_caches_by_shape(self):
@@ -256,7 +256,7 @@ class TestWarmPoolReapRace:
                 while session.pending:
                     result = session.next_completed()
                     assert not result.failed
-                    results[result.index] = result.lost
+                    results[result.index] = result.value[0]
             assert results == {0: 0.0, 1: 2.0, 2: 4.0}
         finally:
             backend.shutdown()
@@ -269,7 +269,7 @@ class TestWarmPoolReapRace:
                 session.submit(_payload(5))
                 result = session.next_completed()
             assert not result.failed
-            assert result.lost == 10.0
+            assert result.value[0] == 10.0
         finally:
             backend.shutdown()
 
@@ -284,7 +284,7 @@ class TestWarmPoolReapRace:
                 backend.shutdown()
                 session.submit(_payload(2))
                 second = session.next_completed()
-            assert (first.lost, second.lost) == (2.0, 4.0)
+            assert (first.value[0], second.value[0]) == (2.0, 4.0)
         finally:
             backend.shutdown()
 

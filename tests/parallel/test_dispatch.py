@@ -297,7 +297,7 @@ class TestSerialBackend:
         # The lowest pending (index, attempt) runs first, whatever the
         # submission order — the tie rule of the pool session.
         assert [r.index for r in results] == [0, 1, 2]
-        assert [r.lost for r in results] == [
+        assert [r.value[0] for r in results] == [
             float(np.random.default_rng(i).integers(0, 1000))
             for i in (0, 1, 2)
         ]

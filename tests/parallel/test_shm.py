@@ -103,8 +103,8 @@ class TestCrossProcess:
                 )
                 result = session.next_completed()
         assert not result.failed
-        assert result.lost == float(sum(payload))
-        assert result.arrived == float(len(payload))
+        assert result.value[0] == float(sum(payload))
+        assert result.value[1] == float(len(payload))
 
     @needs_dev_shm
     def test_worker_attachment_does_not_unlink(self):

@@ -11,6 +11,7 @@ from repro.parallel.worker import (
     _transportable,
     execute_payload,
     pool_entry,
+    replication_pair,
 )
 from repro.queueing.replication import _run_failfast
 from repro.resilience import ResiliencePolicy, run_replications
@@ -61,14 +62,15 @@ class TestExecutePayload:
     def test_success_scalar(self):
         result = execute_payload(_payload(_ok_task, index=3))
         assert not result.failed
-        assert result.lost == 3.0
-        assert result.arrived == 50.0
-        assert isinstance(result.lost, float)
+        lost, arrived = replication_pair(result.value)
+        assert (lost, arrived) == (3.0, 50.0)
+        assert isinstance(lost, float)
 
     def test_success_vector(self):
         result = execute_payload(_payload(_vector_task))
-        assert isinstance(result.lost, np.ndarray)
-        assert np.array_equal(result.lost, [1.0, 2.0])
+        lost, _ = replication_pair(result.value)
+        assert isinstance(lost, np.ndarray)
+        assert np.array_equal(lost, [1.0, 2.0])
 
     def test_retryable_failure_classified(self):
         result = execute_payload(_payload(_retryable_task))
@@ -97,11 +99,11 @@ class TestExecutePayload:
     def test_health_check_off_passes_nan_through(self):
         result = execute_payload(_payload(_nan_task, health_check=False))
         assert not result.failed
-        assert np.isnan(result.lost)
+        assert np.isnan(result.value[0])
 
     def test_publishes_replication_context(self):
         result = execute_payload(_payload(_context_task, index=4, attempt=2))
-        assert result.lost == 1.0  # task saw (index, attempt) == (4, 2)
+        assert result.value[0] == 1.0  # task saw (index, attempt) == (4, 2)
         assert current_attempt() is None  # restored afterwards
 
     def test_returns_generator_state(self):
@@ -154,8 +156,7 @@ class TestErrorOnlyReplacedAcrossProcesses:
     def test_serial_shard_supervisor_raises_original(self, boom):
         boom_class, task = boom
         supervisor = ShardSupervisor(
-            lambda index, attempt: _payload(task, index, attempt),
-            2,
+            [(task, np.random.default_rng(i)) for i in range(2)],
             policy=FAIL_FAST,
         )
         with pytest.raises(boom_class, match="shard blew up"):

@@ -8,6 +8,8 @@ arrival rate offers exactly ``rho x admissible`` Erlangs under every
 holding-time law.
 """
 
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from repro.atm.qos import QoSRequirement
 from repro.exceptions import ParameterError
 from repro.models import make_s
 from repro.parallel.backends import ProcessPoolBackend
+from repro.parallel.shm import SEGMENT_PREFIX, owned_segments
 from repro.service.drive import (
     DRIVE_QUANTILES,
     derive_arrival_rate,
@@ -49,6 +52,20 @@ def _point_counters(point):
         point.fallbacks,
         point.boundary_violations,
         point.peak_occupancy,
+    )
+
+
+def _shard_counters(shard):
+    return (
+        shard.shard_index,
+        shard.n_links,
+        shard.n_requests,
+        shard.admitted,
+        shard.blocked,
+        shard.shed,
+        shard.fallbacks,
+        shard.boundary_violations,
+        shard.peak_occupancy,
     )
 
 
@@ -240,6 +257,37 @@ class TestDriveParallel:
         assert set(pooled.points[0].admit_latency_ns) == {
             f"p{q}" for q in DRIVE_QUANTILES
         }
+
+    def test_process_pool_with_unowned_shards(self, classes, qos):
+        # Two links on four shards leave at least two shards without
+        # links: the pool run must match the serial one shard by
+        # shard, and the table hand-off must leave no segment behind.
+        kwargs = dict(
+            n_links=2,
+            capacity=CAPACITY,
+            qos=qos,
+            rho_grid=(0.9, 0.99),
+            requests_per_link=300,
+            n_shards=4,
+            seed=SEED,
+        )
+        serial = drive(classes, **kwargs)
+        pooled = drive(classes, jobs=2, **kwargs)
+        assert [_point_counters(p) for p in pooled.points] == [
+            _point_counters(p) for p in serial.points
+        ]
+        for serial_point, pooled_point in zip(serial.points, pooled.points):
+            assert [_shard_counters(s) for s in pooled_point.shards] == [
+                _shard_counters(s) for s in serial_point.shards
+            ]
+            unowned = [s for s in pooled_point.shards if s.n_links == 0]
+            assert len(unowned) >= 2
+            for shard in unowned:
+                assert _shard_counters(shard)[1:] == (0,) * 8
+                assert shard.elapsed_seconds == 0.0
+        assert owned_segments() == ()
+        mine = f"{SEGMENT_PREFIX}{os.getpid()}_"
+        assert [e for e in os.listdir("/dev/shm") if e.startswith(mine)] == []
 
 
 def _deterministic_telemetry():

@@ -132,24 +132,6 @@ class TestReplayLink:
         assert stats.cache_misses == 0
 
 
-class TestLinkStatsTransport:
-    def test_array_roundtrip(self, overloaded_spec, classes, qos):
-        stats = replay_link(
-            overloaded_spec,
-            classes,
-            capacity=CAPACITY,
-            qos=qos,
-            policy="bahadur-rao",
-            rng=3,
-        )
-        again = LinkStats.from_array(stats.link_index, stats.as_array())
-        assert again == stats
-
-    def test_bad_vector_shape_rejected(self):
-        with pytest.raises(ParameterError, match="link-stats vector"):
-            LinkStats.from_array(0, np.zeros(3))
-
-
 class TestReplayWorkload:
     def test_pooled_summary_is_consistent(
         self, overloaded_spec, classes, qos

@@ -10,9 +10,9 @@ import time
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.exceptions import ParameterError, SimulationError
 from repro.parallel.backends import ProcessPoolBackend, SerialBackend
-from repro.parallel.worker import WorkerPayload
 from repro.service.supervision import (
     ShardSupervisor,
     SupervisionPolicy,
@@ -43,23 +43,26 @@ class DrawTask:
         return float(generator.integers(0, 10_000)), 100.0
 
 
-def factory_for(task):
-    def factory(index, attempt):
-        # A pristine generator per attempt: restarts must reproduce
-        # the identical draw the failed attempt would have made.
-        return WorkerPayload(
-            index=index,
-            attempt=attempt,
-            task=task,
-            generator=np.random.default_rng(index),
-            health_check=False,
-        )
+class DrawThenCrashTask(DrawTask):
+    """Advances its stream in place *before* the injected crash."""
 
-    return factory
+    def __call__(self, index, generator):
+        value = float(generator.integers(0, 10_000))
+        if current_attempt() in self.crash_at:
+            raise SimulationError(f"injected crash at {current_attempt()}")
+        return value, 100.0
+
+
+def supervise(task, n_shards, **kwargs):
+    """Shard ``i`` runs ``task`` on a stream seeded by ``i``."""
+    return ShardSupervisor(
+        [(task, np.random.default_rng(i)) for i in range(n_shards)],
+        **kwargs,
+    )
 
 
 def run_values(supervisor):
-    return [result.lost for result in supervisor.run()]
+    return [lost for lost, _ in supervisor.run()]
 
 
 class TestPolicy:
@@ -83,11 +86,9 @@ class TestPolicy:
 
 class TestInlineSupervision:
     def test_crash_restart_returns_fault_free_values(self):
-        baseline = ShardSupervisor(
-            factory_for(DrawTask()), 3, policy=SupervisionPolicy()
-        )
-        supervised = ShardSupervisor(
-            factory_for(DrawTask(crash_at=[(1, 0)])),
+        baseline = supervise(DrawTask(), 3, policy=SupervisionPolicy())
+        supervised = supervise(
+            DrawTask(crash_at=[(1, 0)]),
             3,
             policy=SupervisionPolicy(max_restarts=1),
         )
@@ -98,14 +99,15 @@ class TestInlineSupervision:
         assert supervised.reports[0].restarts == 0
 
     def test_results_in_index_order(self):
-        supervisor = ShardSupervisor(
-            factory_for(DrawTask()), 4, policy=SupervisionPolicy()
-        )
-        assert [r.index for r in supervisor.run()] == [0, 1, 2, 3]
+        supervisor = supervise(DrawTask(), 4, policy=SupervisionPolicy())
+        assert run_values(supervisor) == [
+            float(np.random.default_rng(i).integers(0, 10_000))
+            for i in range(4)
+        ]
 
     def test_budget_exhaustion_raises_last_error(self):
-        supervisor = ShardSupervisor(
-            factory_for(DrawTask(crash_at=[(0, 0), (0, 1)])),
+        supervisor = supervise(
+            DrawTask(crash_at=[(0, 0), (0, 1)]),
             1,
             policy=SupervisionPolicy(max_restarts=1),
         )
@@ -114,8 +116,8 @@ class TestInlineSupervision:
         assert supervisor.reports[0].outcome == "exhausted"
 
     def test_zero_restarts_is_fail_fast(self):
-        supervisor = ShardSupervisor(
-            factory_for(DrawTask(crash_at=[(0, 0)])),
+        supervisor = supervise(
+            DrawTask(crash_at=[(0, 0)]),
             1,
             policy=SupervisionPolicy(max_restarts=0),
         )
@@ -124,8 +126,8 @@ class TestInlineSupervision:
 
     def test_backoff_uses_injected_sleep(self):
         naps = []
-        supervisor = ShardSupervisor(
-            factory_for(DrawTask(crash_at=[(0, 0), (0, 1)])),
+        supervisor = supervise(
+            DrawTask(crash_at=[(0, 0), (0, 1)]),
             1,
             policy=SupervisionPolicy(
                 max_restarts=2,
@@ -137,12 +139,43 @@ class TestInlineSupervision:
         supervisor.run()
         assert naps == [0.25, 0.5]
 
-    def test_serial_backend_session_path(self):
-        baseline = ShardSupervisor(
-            factory_for(DrawTask()), 2, policy=SupervisionPolicy()
-        )
+    def test_restart_gets_unadvanced_stream(self):
+        # The failed attempt drew from its stream before crashing; the
+        # restart must still draw what a fault-free run draws, and the
+        # caller's streams are never advanced.
+        baseline = supervise(DrawThenCrashTask(), 3)
+        streams = [np.random.default_rng(index) for index in range(3)]
+        task = DrawThenCrashTask(crash_at=[(1, 0)])
         supervised = ShardSupervisor(
-            factory_for(DrawTask(crash_at=[(0, 0)])),
+            [(task, stream) for stream in streams],
+            policy=SupervisionPolicy(max_restarts=1),
+        )
+        assert run_values(supervised) == run_values(baseline)
+        assert supervised.reports[1].restarts == 1
+        assert [s.bit_generator.state for s in streams] == [
+            np.random.default_rng(index).bit_generator.state
+            for index in range(3)
+        ]
+
+    def test_span_labels_no_backend_serial(self):
+        obs.reset()
+        obs.enable()
+        try:
+            supervise(DrawTask(), 2, policy=SupervisionPolicy()).run()
+            spans = [
+                record
+                for record in obs.spans.records()
+                if record.name == "service.supervisor"
+            ]
+        finally:
+            obs.disable()
+            obs.reset()
+        assert [record.attrs["backend"] for record in spans] == ["serial"]
+
+    def test_serial_backend_session_path(self):
+        baseline = supervise(DrawTask(), 2, policy=SupervisionPolicy())
+        supervised = supervise(
+            DrawTask(crash_at=[(0, 0)]),
             2,
             backend=SerialBackend(),
             policy=SupervisionPolicy(max_restarts=1),
@@ -152,11 +185,9 @@ class TestInlineSupervision:
 
 class TestPoolSupervision:
     def test_crash_restart_matches_fault_free(self):
-        baseline = ShardSupervisor(
-            factory_for(DrawTask()), 3, policy=SupervisionPolicy()
-        )
-        supervised = ShardSupervisor(
-            factory_for(DrawTask(crash_at=[(2, 0)])),
+        baseline = supervise(DrawTask(), 3, policy=SupervisionPolicy())
+        supervised = supervise(
+            DrawTask(crash_at=[(2, 0)]),
             3,
             backend=ProcessPoolBackend(2, start_method="fork"),
             policy=SupervisionPolicy(max_restarts=1),
@@ -164,11 +195,9 @@ class TestPoolSupervision:
         assert run_values(supervised) == run_values(baseline)
 
     def test_hung_shard_restarted_and_stale_result_discarded(self):
-        baseline = ShardSupervisor(
-            factory_for(DrawTask()), 2, policy=SupervisionPolicy()
-        )
-        supervised = ShardSupervisor(
-            factory_for(DrawTask(hang_at=[(1, 0)], hang_seconds=1.5)),
+        baseline = supervise(DrawTask(), 2, policy=SupervisionPolicy())
+        supervised = supervise(
+            DrawTask(hang_at=[(1, 0)], hang_seconds=1.5),
             2,
             backend=ProcessPoolBackend(2, start_method="fork"),
             policy=SupervisionPolicy(
@@ -186,10 +215,8 @@ class TestPoolSupervision:
         assert report.attempts == 2
 
     def test_hang_budget_exhaustion_raises(self):
-        supervisor = ShardSupervisor(
-            factory_for(
-                DrawTask(hang_at=[(0, 0), (0, 1)], hang_seconds=1.0)
-            ),
+        supervisor = supervise(
+            DrawTask(hang_at=[(0, 0), (0, 1)], hang_seconds=1.0),
             1,
             backend=ProcessPoolBackend(1, start_method="fork"),
             policy=SupervisionPolicy(
