@@ -7,14 +7,17 @@ checkpoint is.  Every fan-out (the fail-fast loops of
 supervisor) runs on the one loop of :mod:`repro.parallel.dispatch`
 and keeps only its own policy.
 
-Three process-lifetime disciplines:
+Two backends:
 
 * :class:`SerialBackend` — inline, deterministic, no pickling; what
   every call given no backend runs on;
-* :class:`ProcessPoolBackend` — fresh spawn workers per session
-  (maximum isolation, pays the spawn tax every call);
-* :class:`WarmPoolBackend` / :func:`warm_pool` — persistent workers
-  shared across sessions and callers, the default for ``jobs > 1``.
+* :class:`WarmPoolBackend` / :func:`warm_pool` — the one process
+  pool: persistent workers shared across sessions and callers, what
+  ``jobs > 1`` runs on.  They start lazily or on ``warm()``, live
+  until ``shutdown()`` or interpreter exit, are replaced by
+  ``recycle()`` after a fenced hang and respawned by the next submit
+  after a worker dies.  A dead worker fails the attempts it took down
+  with it, as failed results; it never escapes a session.
 
 Large read-only blobs (decision-table images) cross the process
 boundary through :mod:`repro.parallel.shm`
@@ -24,7 +27,6 @@ boundary through :mod:`repro.parallel.shm`
 from repro.parallel.backends import (
     Backend,
     BackendSession,
-    ProcessPoolBackend,
     SerialBackend,
     WarmPoolBackend,
     get_default_backend,
@@ -59,7 +61,6 @@ __all__ = [
     "Backend",
     "BackendSession",
     "Hang",
-    "ProcessPoolBackend",
     "SerialBackend",
     "SharedBlob",
     "WarmPoolBackend",

@@ -1,9 +1,9 @@
 """Execution backends for replicated simulations.
 
 A *backend* decides where replication payloads run: inline in the
-calling process (:class:`SerialBackend`) or across a spawn-safe
-process pool (:class:`ProcessPoolBackend`).  Both speak the same
-session protocol —
+calling process (:class:`SerialBackend`) or across a pool of
+persistent worker processes (:class:`WarmPoolBackend`).  Both speak
+the same session protocol —
 
     with backend.session() as session:
         session.submit(payload)          # any number of times
@@ -19,9 +19,9 @@ summary fields, and the checkpoint file of a parallel run are
 bit-identical to a serial run on the same seed, regardless of which
 worker finishes first (see ``docs/PERFORMANCE.md``).
 
-The process pool uses the ``spawn`` start method by default: workers
-import the library fresh, which is safe under every platform and
-never inherits half-initialized state through ``fork``.  Payloads and
+The pool uses the ``spawn`` start method by default: workers import
+the library fresh, which is safe under every platform and never
+inherits half-initialized state through ``fork``.  Payloads and
 results must pickle; the replication tasks in
 :mod:`repro.queueing.replication` are module-level classes for
 exactly this reason.
@@ -42,7 +42,7 @@ import itertools
 import multiprocessing
 import threading
 import time
-import weakref
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
@@ -52,6 +52,7 @@ from repro.parallel.worker import (
     WorkerPayload,
     WorkerResult,
     execute,
+    failed_result,
     pool_entry,
 )
 from repro.utils.validation import check_integer
@@ -59,7 +60,6 @@ from repro.utils.validation import check_integer
 __all__ = [
     "Backend",
     "BackendSession",
-    "ProcessPoolBackend",
     "SerialBackend",
     "WarmPoolBackend",
     "get_default_backend",
@@ -168,14 +168,29 @@ class SerialBackend(Backend):
 
 
 class _PoolSession(BackendSession):
-    """Futures bookkeeping over a live ProcessPoolExecutor."""
+    """One batch of futures on a :class:`WarmPoolBackend`'s workers.
 
-    def __init__(self, executor: concurrent.futures.Executor):
-        self._executor = executor
-        self._futures: dict = {}  # future -> (index, attempt)
+    Every future's outcome comes back as a result: the task's value,
+    the task's own failure (as :func:`~repro.parallel.worker.pool_entry`
+    returns it), or — when its worker died or a shutdown cancelled it
+    — a failed, non-retryable result for its payload
+    (:func:`~repro.parallel.worker.failed_result`), which the caller
+    handles like any crashed attempt.
+    """
 
-    def _prepare(self, payload: WorkerPayload) -> WorkerPayload:
-        """Trace-stamp the payload for the worker."""
+    #: Upper bound on one wait slice.  A future cancelled by an
+    #: executor shutdown never wakes ``concurrent.futures.wait`` (only
+    #: the executor's manager thread notifies waiters, and a shut-down
+    #: executor's manager may exit first), so waits are sliced and
+    #: ``done()``, which counts a bare cancel, is polled between them.
+    _POLL_SECONDS = 0.05
+
+    def __init__(self, backend: "WarmPoolBackend"):
+        self._backend = backend
+        self._executor = backend._ensure_executor()
+        self._futures: dict = {}  # future -> payload
+
+    def submit(self, payload: WorkerPayload) -> None:
         # Capture the ambient trace context at submit time so the
         # worker's spans join the supervising span's trace; an
         # explicitly provided context is left untouched.
@@ -183,84 +198,54 @@ class _PoolSession(BackendSession):
             context = _tracectx.inject()
             if context is not None:
                 payload = dataclasses.replace(payload, trace=context)
-        return payload
-
-    def submit(self, payload: WorkerPayload) -> None:
-        payload = self._prepare(payload)
-        future = self._executor.submit(pool_entry, payload)
-        self._futures[future] = (payload.index, payload.attempt)
+        try:
+            future = self._executor.submit(pool_entry, payload)
+        except RuntimeError:
+            # The executor was shut down, or a dead worker broke it:
+            # take the pool's live one (``_ensure_executor`` respawns).
+            self._executor = self._backend._ensure_executor()
+            future = self._executor.submit(pool_entry, payload)
+        self._futures[future] = payload
 
     def next_completed(
         self, timeout: Optional[float] = None
     ) -> Optional[WorkerResult]:
         if not self._futures:
             raise RuntimeError("no payloads pending in this session")
-        done, _ = concurrent.futures.wait(
-            self._futures,
-            timeout=timeout,
-            return_when=concurrent.futures.FIRST_COMPLETED,
-        )
-        if not done:
-            return None  # timeout expired with nothing finished
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
+            done = [future for future in self._futures if future.done()]
+            if done:
+                break
+            wait = self._POLL_SECONDS
+            if deadline is not None:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return None  # timeout expired with nothing finished
+                wait = min(wait, remaining)
+            concurrent.futures.wait(
+                self._futures,
+                timeout=wait,
+                return_when=concurrent.futures.FIRST_COMPLETED,
+            )
         # When several futures finished between waits, hand back the
         # lowest (index, attempt) rather than an arbitrary set member:
         # supervisors react to results as they collect them (raising,
         # checkpoint-flushing), so the collection order must not
         # depend on set iteration order.
-        future = min(done, key=self._futures.__getitem__)
-        del self._futures[future]
-        return future.result()
+        future = min(
+            done,
+            key=lambda f: (self._futures[f].index, self._futures[f].attempt),
+        )
+        payload = self._futures.pop(future)
+        try:
+            return future.result()
+        except (concurrent.futures.CancelledError, BrokenProcessPool) as exc:
+            return failed_result(payload, exc)
 
     @property
     def pending(self) -> int:
         return len(self._futures)
-
-
-class ProcessPoolBackend(Backend):
-    """Run payloads across ``jobs`` worker processes.
-
-    Parameters
-    ----------
-    jobs:
-        Worker process count (>= 1).  Speedup saturates at the number
-        of physical cores; replication counts need not divide evenly.
-    start_method:
-        ``multiprocessing`` start method; the default ``spawn`` is
-        safe everywhere (workers import the library fresh).  ``fork``
-        trades that safety for faster worker start on POSIX.
-    """
-
-    name = "process-pool"
-
-    def __init__(self, jobs: int, *, start_method: str = "spawn"):
-        self.jobs = check_integer(jobs, "jobs", minimum=1)
-        if start_method not in multiprocessing.get_all_start_methods():
-            raise ParameterError(
-                f"start_method {start_method!r} not available on this "
-                f"platform; choose from "
-                f"{multiprocessing.get_all_start_methods()}"
-            )
-        self.start_method = start_method
-
-    @contextmanager
-    def session(self) -> Iterator[_PoolSession]:
-        executor = concurrent.futures.ProcessPoolExecutor(
-            max_workers=self.jobs,
-            mp_context=multiprocessing.get_context(self.start_method),
-        )
-        try:
-            yield _PoolSession(executor)
-        finally:
-            # Cancel whatever never started (deadline hit, error
-            # propagating); tasks already running finish and are
-            # discarded, so workers never outlive the session.
-            executor.shutdown(wait=True, cancel_futures=True)
-
-    def __repr__(self) -> str:
-        return (
-            f"ProcessPoolBackend(jobs={self.jobs}, "
-            f"start_method={self.start_method!r})"
-        )
 
 
 def _warm_import() -> None:
@@ -279,177 +264,50 @@ def _noop() -> None:
     return None
 
 
-class _WarmPoolSession(_PoolSession):
-    """A pool session that leaves the executor alive on teardown.
+class WarmPoolBackend(Backend):
+    """Run payloads across ``jobs`` persistent worker processes.
 
-    The idle reaper introduces a race a spawn-per-session pool never
-    has: ``threading.Timer.cancel()`` cannot stop a callback that has
-    already started running, so the reaper's ``shutdown()`` can land
-    *between* this session acquiring the executor and its payloads
-    finishing — submits then raise ``RuntimeError`` ("cannot schedule
-    new futures after shutdown") and in-flight futures die with
-    ``BrokenProcessPool``/``CancelledError``.  Losing work to a
-    memory-saving timer is not a failure the caller can reason about,
-    so this session makes the reap invisible: submits transparently
-    reacquire a fresh executor, and payloads whose futures died with
-    the *reaped* executor are resubmitted on the restarted pool.
-    Failures on a live executor (a worker OOM-killed mid-task) and on
-    a :meth:`WarmPoolBackend.recycle`-fenced pool still surface —
-    those are real faults the supervisor owns.
-    """
-
-    def __init__(self, backend: "WarmPoolBackend"):
-        super().__init__(backend._ensure_executor())
-        self._backend = backend
-        #: future -> (payload, executor): enough to resubmit verbatim.
-        self._records: dict = {}
-
-    def _submit_future(self, payload):
-        """Submit, reacquiring the executor if the reaper beat us."""
-        try:
-            return self._executor.submit(pool_entry, payload)
-        except RuntimeError:
-            # Either the reaper shut this executor down in the submit
-            # window, or a worker death broke it; both restart
-            # transparently (``_ensure_executor`` discards wrecks).
-            self._executor = self._backend._ensure_executor()
-            return self._executor.submit(pool_entry, payload)
-
-    def submit(self, payload: WorkerPayload) -> None:
-        payload = self._prepare(payload)
-        future = self._submit_future(payload)
-        self._futures[future] = (payload.index, payload.attempt)
-        self._records[future] = (payload, self._executor)
-
-    #: Upper bound on one internal wait slice.  A future the reaper
-    #: cancelled dies in state CANCELLED *without* the notify step
-    #: ``concurrent.futures.wait`` counts as done (only the executor's
-    #: manager thread performs it, and the reaped executor's manager
-    #: exits without doing so) — so waits are bounded and ``done()``
-    #: (which does count bare CANCELLED) is polled between slices.
-    _REAP_POLL_SECONDS = 0.05
-
-    def next_completed(
-        self, timeout: Optional[float] = None
-    ) -> Optional[WorkerResult]:
-        deadline = (
-            None if timeout is None else time.monotonic() + timeout
-        )
-        while True:
-            if not self._futures:
-                raise RuntimeError("no payloads pending in this session")
-            done = [f for f in self._futures if f.done()]
-            if not done:
-                remaining = (
-                    None
-                    if deadline is None
-                    else deadline - time.monotonic()
-                )
-                if remaining is not None and remaining <= 0:
-                    return None  # timeout expired with nothing finished
-                concurrent.futures.wait(
-                    self._futures,
-                    timeout=(
-                        self._REAP_POLL_SECONDS
-                        if remaining is None
-                        else min(self._REAP_POLL_SECONDS, remaining)
-                    ),
-                    return_when=concurrent.futures.FIRST_COMPLETED,
-                )
-                continue
-            future = min(done, key=self._futures.__getitem__)
-            del self._futures[future]
-            payload, executor = self._records.pop(future)
-            try:
-                return future.result()
-            except (
-                concurrent.futures.CancelledError,
-                concurrent.futures.process.BrokenProcessPool,
-            ):
-                if not self._backend._was_reaped(executor):
-                    raise  # a real fault, not the idle reaper
-                # The payload was a bystander of the idle reap:
-                # resubmit it on the restarted pool and keep waiting.
-                self._executor = self._backend._ensure_executor()
-                replacement = self._submit_future(payload)
-                self._futures[replacement] = (
-                    payload.index,
-                    payload.attempt,
-                )
-                self._records[replacement] = (payload, self._executor)
-
-    def abandon(self) -> None:
-        """Drop this session's claim on its futures.
-
-        Unstarted futures are cancelled; running ones are left to
-        finish and have their results discarded (the next session's
-        bookkeeping never sees them).  The executor itself — and its
-        warm workers — survives for the next session.
-        """
-        for future in list(self._futures):
-            future.cancel()
-        self._futures.clear()
-        self._records.clear()
-
-
-class WarmPoolBackend(ProcessPoolBackend):
-    """A process pool whose workers persist across sessions.
-
-    The spawn tax — process start plus a fresh library import per
-    worker, payable on *every* ``session()`` of the plain
-    :class:`ProcessPoolBackend` — is paid once here, then amortized
-    across every ``replicated_clr`` call and service-replay shard that
-    reuses the pool (fork-server-style).  Execution semantics are
-    unchanged: the same payloads, the same collection order, the same
-    bit-identical results; only process lifetime differs.
+    The workers start on the first session (or on :meth:`warm`) and
+    live until :meth:`shutdown` or interpreter exit, so the spawn tax
+    — process start plus a fresh library import per worker — is paid
+    once, then amortized across every ``replicated_clr`` call and
+    service shard that reuses the pool.  :meth:`recycle` replaces them
+    after a fenced hang, and the next submit respawns them after a
+    worker dies.  Execution semantics do not depend on process
+    lifetime: the same payloads, the same collection order, the same
+    bit-identical results.
 
     Parameters
     ----------
-    jobs, start_method:
-        As for :class:`ProcessPoolBackend`.
-    idle_timeout_seconds:
-        Reap the workers after this long with no session activity
-        (``None`` disables reaping).  The pool transparently restarts
-        on next use; reaping only trades latency for memory.
+    jobs:
+        Worker process count (>= 1).  Speedup saturates at the number
+        of physical cores; replication counts need not divide evenly.
+    start_method:
+        ``multiprocessing`` start method; the default ``spawn`` is
+        safe everywhere (workers import the library fresh).  ``fork``
+        trades that safety for faster worker start on POSIX.
     """
 
     name = "warm-pool"
 
-    def __init__(
-        self,
-        jobs: int,
-        *,
-        start_method: str = "spawn",
-        idle_timeout_seconds: Optional[float] = 120.0,
-    ):
-        super().__init__(jobs, start_method=start_method)
-        self.idle_timeout_seconds = idle_timeout_seconds
+    def __init__(self, jobs: int, *, start_method: str = "spawn"):
+        self.jobs = check_integer(jobs, "jobs", minimum=1)
+        if start_method not in multiprocessing.get_all_start_methods():
+            raise ParameterError(
+                f"start_method {start_method!r} not available on this "
+                f"platform; choose from "
+                f"{multiprocessing.get_all_start_methods()}"
+            )
+        self.start_method = start_method
         self._executor: Optional[concurrent.futures.Executor] = None
-        self._reaper: Optional[threading.Timer] = None
         self._lock = threading.Lock()
-        # Executors torn down *benignly* (idle reap / interpreter
-        # exit), as opposed to fenced by recycle() or broken by a
-        # worker death.  Sessions consult this to decide whether a
-        # dead future is a bystander to resubmit or a real fault to
-        # surface.  Weak references: a retired executor lives only as
-        # long as some session still holds futures against it.
-        self._reaped: "weakref.WeakSet" = weakref.WeakSet()
         atexit.register(self.shutdown)
-
-    def _was_reaped(self, executor) -> bool:
-        """True when ``executor`` was shut down by the idle reaper."""
-        with self._lock:
-            return executor in self._reaped
 
     def _ensure_executor(self) -> concurrent.futures.Executor:
         with self._lock:
-            if self._reaper is not None:
-                self._reaper.cancel()
-                self._reaper = None
-            broken = self._executor is not None and getattr(
+            if self._executor is not None and getattr(
                 self._executor, "_broken", False
-            )
-            if broken:
+            ):
                 # A worker died hard (OOM kill, segfault); discard the
                 # wreck and respawn rather than failing every future
                 # session with BrokenProcessPool.
@@ -479,51 +337,35 @@ class WarmPoolBackend(ProcessPoolBackend):
         return self
 
     @contextmanager
-    def session(self) -> Iterator[_WarmPoolSession]:
-        pool_session = _WarmPoolSession(self)
+    def session(self) -> Iterator[_PoolSession]:
+        pool_session = _PoolSession(self)
         try:
             yield pool_session
         finally:
-            pool_session.abandon()
-            self._schedule_reap()
-
-    def _schedule_reap(self) -> None:
-        if self.idle_timeout_seconds is None:
-            return
-        with self._lock:
-            if self._reaper is not None:
-                self._reaper.cancel()
-            timer = threading.Timer(
-                self.idle_timeout_seconds, self.shutdown
-            )
-            timer.daemon = True
-            timer.start()
-            self._reaper = timer
+            # Cancel what never started; a running task finishes and
+            # its result is discarded.  The workers stay for the next
+            # session.
+            for future in pool_session._futures:
+                future.cancel()
 
     def shutdown(self) -> None:
-        """Tear the persistent workers down (idle reap, interpreter exit).
+        """Tear the workers down (graceful exit, tests).
 
         Safe to call repeatedly; the pool restarts lazily if used
         again afterwards.
         """
         with self._lock:
-            if self._reaper is not None:
-                self._reaper.cancel()
-                self._reaper = None
             executor, self._executor = self._executor, None
-            if executor is not None:
-                self._reaped.add(executor)
         if executor is not None:
             executor.shutdown(wait=False, cancel_futures=True)
 
     def recycle(self) -> None:
-        """Forcibly replace the workers (supervisor fenced a hang).
+        """Terminate the workers now (the dispatch loop fenced a hang).
 
-        A spawn-per-session pool kills hung workers at session
-        teardown for free; a warm pool must do it explicitly or the
-        hung process occupies a slot forever.  Outstanding futures
-        fail with ``BrokenProcessPool``, which supervisors already
-        treat as a restartable shard failure.
+        A running task cannot be preempted, so a hung one would hold
+        its worker slot for every later session.  Futures still
+        outstanding fail, and their session reports each as a failed
+        attempt; fresh workers start on the next submit.
         """
         with self._lock:
             executor, self._executor = self._executor, None
@@ -545,32 +387,28 @@ class WarmPoolBackend(ProcessPoolBackend):
         )
 
 
-#: Process-wide shared warm pools, keyed by (jobs, start_method).
-#: Sharing is the point: every replicated call and replay shard that
-#: asks for the same shape reuses the same warm workers.
+#: Process-wide shared warm pools, keyed by worker count.  Sharing is
+#: the point: every replicated call and replay shard that asks for the
+#: same ``jobs`` reuses the same warm workers.
 _warm_pools: dict = {}
 
 
-def warm_pool(
-    jobs: int, *, start_method: str = "spawn"
-) -> WarmPoolBackend:
+def warm_pool(jobs: int) -> WarmPoolBackend:
     """The shared :class:`WarmPoolBackend` for ``jobs`` workers.
 
     Created on first request and cached process-wide; subsequent
     callers (and CLI invocations within one process) reuse the same
     warm workers instead of paying the spawn tax again.
     """
-    key = (check_integer(jobs, "jobs", minimum=1), start_method)
-    pool = _warm_pools.get(key)
+    jobs = check_integer(jobs, "jobs", minimum=1)
+    pool = _warm_pools.get(jobs)
     if pool is None:
-        pool = _warm_pools[key] = WarmPoolBackend(
-            key[0], start_method=start_method
-        )
+        pool = _warm_pools[jobs] = WarmPoolBackend(jobs)
     return pool
 
 
 def shutdown_warm_pools() -> None:
-    """Reap every shared warm pool's workers (tests, graceful exit)."""
+    """Shut every shared warm pool's workers down (tests, graceful exit)."""
     for pool in list(_warm_pools.values()):
         pool.shutdown()
 

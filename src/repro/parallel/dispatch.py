@@ -162,8 +162,7 @@ def dispatch(
     exception — a fenced attempt that never returned would keep its
     worker busy on a persistent pool, so the backend's ``recycle()``
     (when it has one) replaces the workers, counted under
-    ``recycle_metric``.  A spawn-per-session pool dies with its
-    session anyway.
+    ``recycle_metric``.
     """
     if backend is None:
         backend = SerialBackend()

@@ -54,6 +54,7 @@ __all__ = [
     "execute",
     "execute_batch_payload",
     "execute_payload",
+    "failed_result",
     "merge_result_telemetry",
     "pool_entry",
     "replication_pair",
@@ -230,15 +231,7 @@ def execute_payload(payload: WorkerPayload) -> WorkerResult:
             if payload.health_check:
                 _check_replication(value, payload.index)
     except Exception as exc:
-        return WorkerResult(
-            index=payload.index,
-            attempt=payload.attempt,
-            error=exc,
-            error_kind=type(exc).__name__,
-            error_message=str(exc),
-            retryable=isinstance(exc, RETRYABLE_EXCEPTIONS),
-            generator=generator,
-        )
+        return failed_result(payload, exc)
     return WorkerResult(
         index=payload.index,
         attempt=payload.attempt,
@@ -284,14 +277,7 @@ def execute_batch_payload(payload: WorkerBatchPayload) -> WorkerBatchResult:
             for index, row in zip(indices, rows)
         )
     except Exception as exc:
-        return WorkerBatchResult(
-            base_index=payload.base_index,
-            attempt=payload.attempt,
-            error=exc,
-            error_kind=type(exc).__name__,
-            error_message=str(exc),
-            retryable=isinstance(exc, RETRYABLE_EXCEPTIONS),
-        )
+        return failed_result(payload, exc)
     return WorkerBatchResult(
         base_index=payload.base_index,
         attempt=payload.attempt,
@@ -304,6 +290,27 @@ def execute(payload):
     if isinstance(payload, WorkerBatchPayload):
         return execute_batch_payload(payload)
     return execute_payload(payload)
+
+
+def failed_result(payload, error: BaseException):
+    """``payload``'s attempt as failed with ``error``, classified.
+
+    Carries the payload's stream as the attempt left it: advanced in
+    this process, untouched when ``error`` is a dead or cancelled pool
+    future (the attempt never ran here).
+    """
+    failure = dict(
+        attempt=payload.attempt,
+        error=error,
+        error_kind=type(error).__name__,
+        error_message=str(error),
+        retryable=isinstance(error, RETRYABLE_EXCEPTIONS),
+    )
+    if isinstance(payload, WorkerBatchPayload):
+        return WorkerBatchResult(base_index=payload.base_index, **failure)
+    return WorkerResult(
+        index=payload.index, generator=payload.generator, **failure
+    )
 
 
 def pool_entry(payload):

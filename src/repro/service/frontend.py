@@ -47,9 +47,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.atm.qos import QoSRequirement
 from repro.exceptions import ParameterError, ReproError
-from repro.parallel.shm import SharedBlob, attach_blob, publish_blob
+from repro.parallel.shm import SharedBlob, publish_blob
 from repro.service.engine import AdmissionDecision, AdmissionEngine
 from repro.service.overload import OverloadPolicy
+from repro.service.supervision import load_table
 from repro.service.tables import (
     SERVICE_METHODS,
     DecisionTableCache,
@@ -210,9 +211,11 @@ class AdmissionFrontend:
         Optional JSONL table file warming the snapshot.
     publish:
         Publish the table snapshot through shared memory (the default;
-        the open-loop drive workers attach the same segment).  With
+        every shard loads its cache from that segment).  With
         ``False`` the snapshot stays an in-process string — useful for
-        tests on platforms without shared memory.
+        tests on platforms without shared memory.  ``drive`` does not
+        read this segment: it hands its shards its own snapshot
+        through :func:`~repro.service.supervision.table_handoff`.
     """
 
     def __init__(
@@ -275,8 +278,7 @@ class AdmissionFrontend:
         self._shards: List[_Shard] = []
         self._link_shard: Dict[str, _Shard] = {}
         for index in range(n_shards):
-            tables = DecisionTableCache(persist=False)
-            tables.load_text(self._snapshot_text())
+            tables = load_table(self.table_descriptor or self.table_text)
             self._shards.append(_Shard(index=index, tables=tables))
         for link_id in link_ids:
             shard = self._shards[self.ring.shard_for(link_id)]
@@ -286,12 +288,6 @@ class AdmissionFrontend:
             engine.add_link(link_id, self.capacity, self.qos)
             shard.engines[link_id] = engine
             self._link_shard[link_id] = shard
-
-    def _snapshot_text(self) -> str:
-        """The published snapshot's bytes (or the in-process string)."""
-        if self._table_handle is not None:
-            return attach_blob(self._table_handle.descriptor).decode("utf-8")
-        return self.table_text
 
     # -- topology ------------------------------------------------------------
 
@@ -449,8 +445,7 @@ class AdmissionFrontend:
         for shard in self._shards:
             # The retiring cache's hits would otherwise go unpublished.
             shard.tables.publish_hits()
-            tables = DecisionTableCache(persist=False)
-            tables.load_text(self._snapshot_text())
+            tables = load_table(self.table_descriptor or self.table_text)
             shard.tables = tables
             for engine in shard.engines.values():
                 engine.tables = tables

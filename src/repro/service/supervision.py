@@ -51,12 +51,14 @@ stale result is discarded without merging its telemetry, so even hang
 chaos leaves the summary bytes unchanged (observability counters
 record that recovery happened).
 
-Caveat: a hung worker occupies its pool slot until it returns —
-``ProcessPoolExecutor`` cannot preempt a running task — so injected
-hangs must be finite sleeps, and ``shard_timeout_seconds`` should be
-comfortably below them only in tests.  On the serial path there is no
-concurrency to poll; hangs are not preemptible and only crash
-recovery applies.  Shards run there lowest ``(index, attempt)``
+A hung worker cannot be preempted, so it keeps its pool slot until
+the run ends; then the dispatch loop recycles the pool and the hung
+process is terminated, so an injected hang need not be finite.  A
+worker process that dies (an OOM kill) takes down the attempts then
+outstanding on the pool; each comes back as a failed result and is
+restarted like any crash, on fresh workers.  On the serial path
+there is no concurrency to poll; hangs are not preemptible and only
+crash recovery applies.  Shards run there lowest ``(index, attempt)``
 first, so a restarted shard runs right after its failed attempt,
 before any later shard.
 """
@@ -73,7 +75,7 @@ from repro.exceptions import ParameterError, SimulationError
 from repro.obs import metrics as _metrics
 from repro.obs import spans as _spans
 from repro.obs.spans import span
-from repro.parallel.backends import Backend, ProcessPoolBackend
+from repro.parallel.backends import Backend, WarmPoolBackend
 from repro.parallel.dispatch import Hang, dispatch
 from repro.parallel.shm import attach_blob, publish_blob
 from repro.parallel.worker import (
@@ -110,7 +112,7 @@ def table_handoff(
     (no pickled tables, one set of pages for every worker), and the
     segment is unlinked on exit; otherwise shards receive ``text``.
     """
-    if text is None or not isinstance(backend, ProcessPoolBackend):
+    if text is None or not isinstance(backend, WarmPoolBackend):
         yield text
         return
     with publish_blob(text.encode("utf-8")) as blob:

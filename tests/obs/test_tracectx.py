@@ -8,7 +8,7 @@ import pytest
 from repro.obs import spans as spans_mod
 from repro.obs import tracectx
 from repro.obs.spans import span
-from repro.parallel.backends import ProcessPoolBackend
+from repro.parallel.backends import warm_pool
 from repro.parallel.worker import WorkerPayload, pool_entry
 
 
@@ -116,7 +116,7 @@ class TestWorkerPropagation:
 
     @pytest.mark.slow
     def test_process_pool_spans_carry_parent_trace(self, telemetry):
-        backend = ProcessPoolBackend(2)
+        backend = warm_pool(2)
         with span("supervisor"):
             with backend.session() as session:
                 for i in range(3):

@@ -1,13 +1,15 @@
 """Tests for the execution-backend layer."""
 
 import os
+import time
+from concurrent.futures import CancelledError
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ParameterError
 from repro.parallel import (
-    ProcessPoolBackend,
     SerialBackend,
     WarmPoolBackend,
     WorkerPayload,
@@ -27,6 +29,17 @@ def _double(index, generator):
 def _worker_pid(index, generator):
     """Report which process ran the payload (warm-pool persistence)."""
     return float(os.getpid()), 1.0
+
+
+def _slow_double(index, generator):
+    """Sleep long enough that a mid-session recycle catches it running."""
+    time.sleep(30.0)
+    return float(index * 2), 100.0
+
+
+def _die(index, generator):
+    """Kill the worker process, standing in for an OOM kill."""
+    os._exit(1)
 
 
 def _payload(index):
@@ -67,33 +80,6 @@ class TestSerialBackend:
         assert SerialBackend().jobs == 1
 
 
-class TestProcessPoolBackend:
-    def test_rejects_zero_jobs(self):
-        with pytest.raises(ParameterError):
-            ProcessPoolBackend(0)
-
-    def test_rejects_unknown_start_method(self):
-        with pytest.raises(ParameterError, match="start_method"):
-            ProcessPoolBackend(2, start_method="telepathy")
-
-    def test_completes_all_payloads(self):
-        backend = ProcessPoolBackend(2)
-        with backend.session() as session:
-            for i in range(5):
-                session.submit(_payload(i))
-            results = []
-            while session.pending:
-                results.append(session.next_completed())
-        assert sorted(r.index for r in results) == [0, 1, 2, 3, 4]
-        by_index = {r.index: r for r in results}
-        assert all(by_index[i].value[0] == 2.0 * i for i in range(5))
-
-    def test_empty_session_raises(self):
-        with ProcessPoolBackend(2).session() as session:
-            with pytest.raises(RuntimeError, match="no payloads"):
-                session.next_completed()
-
-
 class TestWarmPoolBackend:
     def _run_one(self, backend):
         with backend.session() as session:
@@ -108,8 +94,16 @@ class TestWarmPoolBackend:
             )
             return int(session.next_completed().value[0])
 
+    def test_rejects_zero_jobs(self):
+        with pytest.raises(ParameterError):
+            WarmPoolBackend(0)
+
+    def test_rejects_unknown_start_method(self):
+        with pytest.raises(ParameterError, match="start_method"):
+            WarmPoolBackend(2, start_method="telepathy")
+
     def test_workers_persist_across_sessions(self):
-        backend = WarmPoolBackend(1, idle_timeout_seconds=None)
+        backend = WarmPoolBackend(1)
         try:
             first = self._run_one(backend)
             second = self._run_one(backend)
@@ -121,7 +115,7 @@ class TestWarmPoolBackend:
             backend.shutdown()
 
     def test_recycle_replaces_workers(self):
-        backend = WarmPoolBackend(1, idle_timeout_seconds=None)
+        backend = WarmPoolBackend(1)
         try:
             before = self._run_one(backend)
             backend.recycle()
@@ -131,7 +125,7 @@ class TestWarmPoolBackend:
             backend.shutdown()
 
     def test_shutdown_then_reuse_restarts(self):
-        backend = WarmPoolBackend(1, idle_timeout_seconds=None)
+        backend = WarmPoolBackend(1)
         try:
             self._run_one(backend)
             backend.shutdown()
@@ -141,26 +135,18 @@ class TestWarmPoolBackend:
             backend.shutdown()
 
     def test_warm_returns_self(self):
-        backend = WarmPoolBackend(1, idle_timeout_seconds=None)
+        backend = WarmPoolBackend(1)
         try:
             assert backend.warm() is backend
         finally:
             backend.shutdown()
 
     def test_completes_all_payloads(self):
-        backend = WarmPoolBackend(2, idle_timeout_seconds=None)
+        backend = WarmPoolBackend(2)
         try:
             with backend.session() as session:
                 for i in range(5):
-                    session.submit(
-                        WorkerPayload(
-                            index=i,
-                            attempt=0,
-                            task=_double,
-                            generator=np.random.default_rng(i),
-                            health_check=False,
-                        )
-                    )
+                    session.submit(_payload(i))
                 results = []
                 while session.pending:
                     results.append(session.next_completed())
@@ -170,6 +156,77 @@ class TestWarmPoolBackend:
         assert all(
             r.value[0] == 2.0 * r.index and not r.failed for r in results
         )
+
+    def test_empty_session_raises(self):
+        backend = WarmPoolBackend(1)
+        try:
+            with backend.session() as session:
+                with pytest.raises(RuntimeError, match="no payloads"):
+                    session.next_completed()
+        finally:
+            backend.shutdown()
+
+    def test_submit_after_shutdown_reacquires_the_pool(self):
+        backend = WarmPoolBackend(1)
+        try:
+            with backend.session() as session:
+                backend.shutdown()
+                session.submit(_payload(5))
+                result = session.next_completed()
+            assert not result.failed
+            assert result.value[0] == 10.0
+        finally:
+            backend.shutdown()
+
+    def test_recycle_fencing_still_surfaces(self):
+        # Recycling terminates the worker under a running attempt; the
+        # session reports that attempt as failed, not retryable.
+        backend = WarmPoolBackend(1)
+        try:
+            backend.warm()
+            with backend.session() as session:
+                session.submit(
+                    WorkerPayload(
+                        index=0,
+                        attempt=0,
+                        task=_slow_double,
+                        generator=np.random.default_rng(0),
+                        health_check=False,
+                    )
+                )
+                backend.recycle()
+                result = session.next_completed()
+        finally:
+            backend.shutdown()
+        assert (result.index, result.attempt) == (0, 0)
+        assert result.failed and not result.retryable
+        assert isinstance(
+            result.error, (CancelledError, BrokenProcessPool)
+        )
+
+    def test_dead_worker_fails_only_its_attempts(self):
+        # A worker that dies breaks the executor: its attempt comes
+        # back failed and the next submit respawns the workers.
+        backend = WarmPoolBackend(1, start_method="fork")
+        try:
+            with backend.session() as session:
+                session.submit(
+                    WorkerPayload(
+                        index=0,
+                        attempt=0,
+                        task=_die,
+                        generator=np.random.default_rng(0),
+                        health_check=False,
+                    )
+                )
+                dead = session.next_completed()
+                session.submit(_payload(1))
+                alive = session.next_completed()
+        finally:
+            backend.shutdown()
+        assert isinstance(dead.error, BrokenProcessPool)
+        assert dead.failed and not dead.retryable
+        assert not alive.failed and alive.value[0] == 2.0
 
     def test_shared_registry_caches_by_shape(self):
         assert warm_pool(2) is warm_pool(2)
@@ -190,7 +247,7 @@ class TestResolveBackend:
 
     def test_jobs_builds_pool(self):
         backend = resolve_backend(jobs=3)
-        assert isinstance(backend, ProcessPoolBackend)
+        assert isinstance(backend, WarmPoolBackend)
         assert backend.jobs == 3
 
     def test_explicit_backend_wins(self):
@@ -222,100 +279,3 @@ class TestResolveBackend:
             assert resolve_backend(jobs=1) is None
         finally:
             set_default_backend(None)
-
-
-def _slow_double(index, generator):
-    """Sleep long enough that a mid-session recycle catches it running."""
-    import time
-
-    time.sleep(3.0)
-    return float(index * 2), 100.0
-
-
-class TestWarmPoolReapRace:
-    """Regression: an idle reap mid-session must not lose work.
-
-    ``threading.Timer.cancel()`` cannot stop a reap callback that has
-    already fired, so ``shutdown()`` (the timer's callback) can land
-    between a session's submits and its collection.  Reap-cancelled
-    futures must be transparently resubmitted on a restarted pool —
-    while ``recycle()`` fencing and real worker deaths still surface.
-    """
-
-    def test_reap_between_submit_and_collect_loses_nothing(self):
-        backend = WarmPoolBackend(1, idle_timeout_seconds=None)
-        try:
-            with backend.session() as session:
-                for i in range(3):
-                    session.submit(_payload(i))
-                # The reaper's exact code path, forced deterministically:
-                # with one just-spawning worker, at least two of the
-                # three futures are still pending and die CANCELLED.
-                backend.shutdown()
-                results = {}
-                while session.pending:
-                    result = session.next_completed()
-                    assert not result.failed
-                    results[result.index] = result.value[0]
-            assert results == {0: 0.0, 1: 2.0, 2: 4.0}
-        finally:
-            backend.shutdown()
-
-    def test_submit_after_reap_reacquires_the_pool(self):
-        backend = WarmPoolBackend(1, idle_timeout_seconds=None)
-        try:
-            with backend.session() as session:
-                backend.shutdown()
-                session.submit(_payload(5))
-                result = session.next_completed()
-            assert not result.failed
-            assert result.value[0] == 10.0
-        finally:
-            backend.shutdown()
-
-    def test_repeated_reaps_are_survivable(self):
-        backend = WarmPoolBackend(1, idle_timeout_seconds=None)
-        try:
-            with backend.session() as session:
-                session.submit(_payload(1))
-                backend.shutdown()
-                backend.shutdown()
-                first = session.next_completed()
-                backend.shutdown()
-                session.submit(_payload(2))
-                second = session.next_completed()
-            assert (first.value[0], second.value[0]) == (2.0, 4.0)
-        finally:
-            backend.shutdown()
-
-    def test_recycle_fencing_still_surfaces(self):
-        import concurrent.futures
-
-        backend = WarmPoolBackend(1, idle_timeout_seconds=None)
-        try:
-            backend.warm()
-            with backend.session() as session:
-                session.submit(
-                    WorkerPayload(
-                        index=0,
-                        attempt=0,
-                        task=_slow_double,
-                        generator=np.random.default_rng(0),
-                        health_check=False,
-                    )
-                )
-                # A supervisor fencing a hang is a real fault, not an
-                # idle reap: the session must NOT hide it.
-                backend.recycle()
-                with pytest.raises(
-                    (
-                        concurrent.futures.CancelledError,
-                        concurrent.futures.process.BrokenProcessPool,
-                    )
-                ):
-                    while session.pending:
-                        result = session.next_completed()
-                        if result.failed:
-                            raise result.error
-        finally:
-            backend.shutdown()

@@ -6,6 +6,7 @@ lifetime, and nothing survives in ``/dev/shm`` after a normal exit,
 an explicit unlink, or a hard crash of the owner.
 """
 
+import multiprocessing
 import os
 import pickle
 import subprocess
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.parallel import (
-    ProcessPoolBackend,
+    WarmPoolBackend,
     WorkerPayload,
     attach_blob,
     owned_segments,
@@ -89,19 +90,22 @@ class _BlobChecksum:
 class TestCrossProcess:
     def test_worker_attaches_published_blob(self):
         payload = bytes(range(256)) * 64
-        backend = ProcessPoolBackend(1)
-        with publish_blob(payload) as handle:
-            with backend.session() as session:
-                session.submit(
-                    WorkerPayload(
-                        index=0,
-                        attempt=0,
-                        task=_BlobChecksum(handle.descriptor),
-                        generator=np.random.default_rng(0),
-                        health_check=False,
+        backend = WarmPoolBackend(1)
+        try:
+            with publish_blob(payload) as handle:
+                with backend.session() as session:
+                    session.submit(
+                        WorkerPayload(
+                            index=0,
+                            attempt=0,
+                            task=_BlobChecksum(handle.descriptor),
+                            generator=np.random.default_rng(0),
+                            health_check=False,
+                        )
                     )
-                )
-                result = session.next_completed()
+                    result = session.next_completed()
+        finally:
+            backend.shutdown()
         assert not result.failed
         assert result.value[0] == float(sum(payload))
         assert result.value[1] == float(len(payload))
@@ -111,7 +115,8 @@ class TestCrossProcess:
         # A worker attaching and exiting must not remove the owner's
         # segment (the Python < 3.13 tracker foot-gun this module's
         # lifecycle notes describe).
-        backend = ProcessPoolBackend(1)
+        before = set(multiprocessing.active_children())
+        backend = WarmPoolBackend(1)
         with publish_blob(b"stay") as handle:
             with backend.session() as session:
                 session.submit(
@@ -124,6 +129,10 @@ class TestCrossProcess:
                     )
                 )
                 session.next_completed()
+            backend.shutdown()
+            for worker in set(multiprocessing.active_children()) - before:
+                worker.join(30.0)
+                assert not worker.is_alive()
             # Pool torn down, workers gone; the segment must survive
             # until the owner unlinks it.
             assert handle.name in shm_entries()

@@ -19,16 +19,21 @@ from repro.exceptions import (
     SimulationError,
 )
 from repro.obs import metrics
-from repro.parallel.backends import ProcessPoolBackend, WarmPoolBackend
+from repro.parallel.backends import WarmPoolBackend
 from repro.resilience import ResiliencePolicy, run_replications
 from repro.resilience.checkpoint import CheckpointFile
 from repro.utils.replication_context import current_attempt
 
 
+#: How long an injected hang sleeps: far past every budget below, so a
+#: run that returns well before it did not wait for the hung task.
+HANG_SECONDS = 30.0
+
+
 class EpochTask:
     """Hangs or fails on scheduled ``(index, attempt)`` epochs."""
 
-    def __init__(self, hang_at=(), fail_at=(), seconds=1.5):
+    def __init__(self, hang_at=(), fail_at=(), seconds=HANG_SECONDS):
         self.hang_at = frozenset(hang_at)
         self.fail_at = frozenset(fail_at)
         self.seconds = seconds
@@ -43,8 +48,20 @@ class EpochTask:
         return value, 1.0 + value
 
 
-def backend():
-    return ProcessPoolBackend(2, start_method="fork")
+def timed(run, *args, **kwargs):
+    """``run(*args, **kwargs)`` and its wall-clock seconds."""
+    started = time.monotonic()
+    result = run(*args, **kwargs)
+    return result, time.monotonic() - started
+
+
+@pytest.fixture
+def pool():
+    backend = WarmPoolBackend(2, start_method="fork")
+    try:
+        yield backend
+    finally:
+        backend.shutdown()
 
 
 class TestPolicyValidation:
@@ -59,24 +76,25 @@ class TestPolicyValidation:
 
 
 class TestHangRecovery:
-    def test_hang_retried_like_any_failure(self):
+    def test_hang_retried_like_any_failure(self, pool):
         # A timed-out attempt must pool exactly what a failed attempt
         # pools: the retry stream is the same spawn child either way.
-        hung = run_replications(
+        hung, elapsed = timed(
+            run_replications,
             EpochTask(hang_at=[(1, 0)]),
             3,
             rng=7,
             policy=ResiliencePolicy(
                 max_retries=1, replication_timeout_seconds=0.3
             ),
-            backend=backend(),
+            backend=pool,
         )
         failed = run_replications(
             EpochTask(fail_at=[(1, 0)]),
             3,
             rng=7,
             policy=ResiliencePolicy(max_retries=1),
-            backend=backend(),
+            backend=pool,
         )
         assert [o.lost for o in hung.outcomes] == [
             o.lost for o in failed.outcomes
@@ -85,11 +103,11 @@ class TestHangRecovery:
         assert not hung.degraded
         kinds = [f.kind for f in hung.failures]
         assert kinds == ["ReplicationTimeout"]
-        # The stale attempt-0 result (it finishes its sleep and
-        # returns a healthy value) must not have displaced the retry.
         assert hung.outcomes[1].attempts == 2
+        # The fenced attempt was discarded, not waited out.
+        assert elapsed < HANG_SECONDS / 3
 
-    def test_no_timeout_keeps_legacy_blocking(self):
+    def test_no_timeout_keeps_legacy_blocking(self, pool):
         # Without the knob a slow attempt is just slow: attempt 0's
         # value survives.
         slow = run_replications(
@@ -97,30 +115,31 @@ class TestHangRecovery:
             2,
             rng=7,
             policy=ResiliencePolicy(max_retries=1),
-            backend=backend(),
+            backend=pool,
         )
         clean = run_replications(
             EpochTask(),
             2,
             rng=7,
             policy=ResiliencePolicy(max_retries=1),
-            backend=backend(),
+            backend=pool,
         )
         assert [o.lost for o in slow.outcomes] == [
             o.lost for o in clean.outcomes
         ]
         assert slow.n_retried == 0
 
-    def test_timeout_exhaustion_degrades(self):
+    def test_timeout_exhaustion_degrades(self, pool):
         with pytest.warns(DegradedResultWarning):
-            result = run_replications(
-                EpochTask(hang_at=[(0, 0), (0, 1)], seconds=1.0),
+            result, elapsed = timed(
+                run_replications,
+                EpochTask(hang_at=[(0, 0), (0, 1)]),
                 2,
                 rng=7,
                 policy=ResiliencePolicy(
                     max_retries=1, replication_timeout_seconds=0.25
                 ),
-                backend=backend(),
+                backend=pool,
             )
         assert result.degraded
         assert [o.index for o in result.outcomes] == [1]
@@ -128,15 +147,19 @@ class TestHangRecovery:
             "ReplicationTimeout",
             "ReplicationTimeout",
         ]
+        assert elapsed < HANG_SECONDS / 3
 
-    def test_checkpoint_stays_serial_prefix_under_timeouts(self, tmp_path):
+    def test_checkpoint_stays_serial_prefix_under_timeouts(
+        self, tmp_path, pool
+    ):
         # Ordered flush discipline survives the new loop structure:
         # the checkpoint written under a hang-retry matches the one a
         # fault-free run writes, record for record.
         path_a = tmp_path / "hung.jsonl"
         path_b = tmp_path / "clean.jsonl"
-        run_replications(
-            EpochTask(hang_at=[(0, 0)], seconds=3.0),
+        _, elapsed = timed(
+            run_replications,
+            EpochTask(hang_at=[(0, 0)]),
             3,
             rng=11,
             policy=ResiliencePolicy(
@@ -144,7 +167,7 @@ class TestHangRecovery:
                 replication_timeout_seconds=1.0,
                 checkpoint_path=str(path_a),
             ),
-            backend=backend(),
+            backend=pool,
         )
         run_replications(
             EpochTask(fail_at=[(0, 0)]),
@@ -153,9 +176,10 @@ class TestHangRecovery:
             policy=ResiliencePolicy(
                 max_retries=1, checkpoint_path=str(path_b)
             ),
-            backend=backend(),
+            backend=pool,
         )
         assert path_a.read_text() == path_b.read_text()
+        assert elapsed < HANG_SECONDS / 3
 
 
 class TestRecycleOnError:
@@ -166,9 +190,7 @@ class TestRecycleOnError:
         # completes, and the checkpoint append for it raises.  The
         # error must still leave the warm pool recycled, or the hung
         # worker keeps its slot for every later session.
-        pool = WarmPoolBackend(
-            2, start_method="fork", idle_timeout_seconds=None
-        )
+        pool = WarmPoolBackend(2, start_method="fork")
         recycled = []
         recycle = pool.recycle
         monkeypatch.setattr(
@@ -184,7 +206,7 @@ class TestRecycleOnError:
         try:
             with pytest.raises(CheckpointError):
                 run_replications(
-                    EpochTask(hang_at=[(0, 0)], seconds=3.0),
+                    EpochTask(hang_at=[(0, 0)]),
                     3,
                     rng=11,
                     policy=ResiliencePolicy(

@@ -10,6 +10,7 @@ assertions are conservation + flagged fallbacks instead.
 """
 
 import os
+import time
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from repro.atm.qos import QoSRequirement
 from repro.exceptions import JournalError, ParameterError
 from repro.models import make_s
 from repro.parallel import owned_segments
-from repro.parallel.backends import ProcessPoolBackend, WarmPoolBackend
+from repro.parallel.backends import WarmPoolBackend
 from repro.parallel.shm import SEGMENT_PREFIX
 from repro.resilience.faults import ServiceFaultPlan
 from repro.service.overload import OverloadPolicy
@@ -30,6 +31,18 @@ from repro.service.workload import ConnectionClass, WorkloadSpec
 
 CAPACITY = 30 * 538.0
 N_REQUESTS = 4_000
+#: How long an injected hang sleeps: far past the shard budget, so a
+#: run that returns well before it did not wait for the hung worker.
+HANG_SECONDS = 30.0
+
+
+@pytest.fixture
+def pool():
+    backend = WarmPoolBackend(2, start_method="fork")
+    try:
+        yield backend
+    finally:
+        backend.shutdown()
 
 
 @pytest.fixture
@@ -314,7 +327,7 @@ class TestSharedMemoryLifecycle:
     fences a hung worker out of a warm pool."""
 
     def test_table_image_matches_file_load_and_unlinks(
-        self, spec, classes, qos, tmp_path
+        self, spec, classes, qos, tmp_path, pool
     ):
         table = _warmed_table(tmp_path, classes, qos)
         serial = run(spec, classes, qos, table_path=table)
@@ -323,7 +336,7 @@ class TestSharedMemoryLifecycle:
             classes,
             qos,
             table_path=table,
-            backend=ProcessPoolBackend(2, start_method="fork"),
+            backend=pool,
         )
         assert summary_to_json(pooled) == summary_to_json(serial)
         assert pooled.cache_hits > 0
@@ -331,7 +344,7 @@ class TestSharedMemoryLifecycle:
         assert owned_segments() == ()
 
     def test_crash_chaos_leaves_no_segments(
-        self, spec, classes, qos, tmp_path
+        self, spec, classes, qos, tmp_path, pool
     ):
         table = _warmed_table(tmp_path, classes, qos)
         clean = run(spec, classes, qos, table_path=table)
@@ -340,7 +353,7 @@ class TestSharedMemoryLifecycle:
             classes,
             qos,
             table_path=table,
-            backend=ProcessPoolBackend(2, start_method="fork"),
+            backend=pool,
             journal_dir=tmp_path / "journals",
             supervision=SupervisionPolicy(max_restarts=1),
             faults=ServiceFaultPlan(crash_shard_at={(0, 0): 2_100}),
@@ -350,22 +363,20 @@ class TestSharedMemoryLifecycle:
         assert owned_segments() == ()
 
     def test_hang_fence_recycles_warm_pool_and_cleans_up(
-        self, spec, classes, qos, tmp_path
+        self, spec, classes, qos, tmp_path, pool
     ):
         table = _warmed_table(tmp_path, classes, qos)
         clean = run(spec, classes, qos, table_path=table)
-        backend = WarmPoolBackend(
-            2, start_method="fork", idle_timeout_seconds=None
-        )
         obs.enable()
         try:
             obs.reset()
+            started = time.monotonic()
             chaotic = run(
                 spec,
                 classes,
                 qos,
                 table_path=table,
-                backend=backend,
+                backend=pool,
                 journal_dir=tmp_path / "journals",
                 supervision=SupervisionPolicy(
                     max_restarts=1,
@@ -373,9 +384,10 @@ class TestSharedMemoryLifecycle:
                     heartbeat_seconds=0.1,
                 ),
                 faults=ServiceFaultPlan(
-                    hang_shard_at={(1, 0): (1_800, 3.0)}
+                    hang_shard_at={(1, 0): (1_800, HANG_SECONDS)}
                 ),
             )
+            elapsed = time.monotonic() - started
             counters = {
                 d["name"]: d["value"]
                 for d in obs.metrics.snapshot()
@@ -383,8 +395,8 @@ class TestSharedMemoryLifecycle:
             }
         finally:
             obs.disable()
-            backend.shutdown()
         assert summary_to_json(chaotic) == summary_to_json(clean)
+        assert elapsed < HANG_SECONDS / 3
         # The fenced hang forced the warm pool to replace its workers;
         # the hung process must not survive in a slot, and the shared
         # table image must still be unlinked.
@@ -395,14 +407,14 @@ class TestSharedMemoryLifecycle:
 
 class TestParallelChaosParity:
     def test_jobs2_chaos_matches_serial_clean(
-        self, spec, classes, qos, tmp_path
+        self, spec, classes, qos, tmp_path, pool
     ):
         clean = run(spec, classes, qos)
         chaotic = run(
             spec,
             classes,
             qos,
-            backend=ProcessPoolBackend(2, start_method="fork"),
+            backend=pool,
             journal_dir=tmp_path,
             supervision=SupervisionPolicy(max_restarts=1),
             faults=ServiceFaultPlan(
@@ -413,19 +425,25 @@ class TestParallelChaosParity:
         assert summary_to_json(chaotic) == summary_to_json(clean)
         assert chaotic.boundary_violations == 0
 
-    def test_hang_chaos_matches_clean(self, spec, classes, qos, tmp_path):
+    def test_hang_chaos_matches_clean(
+        self, spec, classes, qos, tmp_path, pool
+    ):
         clean = run(spec, classes, qos)
+        started = time.monotonic()
         chaotic = run(
             spec,
             classes,
             qos,
-            backend=ProcessPoolBackend(2, start_method="fork"),
+            backend=pool,
             journal_dir=tmp_path,
             supervision=SupervisionPolicy(
                 max_restarts=1,
                 shard_timeout_seconds=1.0,
                 heartbeat_seconds=0.1,
             ),
-            faults=ServiceFaultPlan(hang_shard_at={(1, 0): (1_800, 3.0)}),
+            faults=ServiceFaultPlan(
+                hang_shard_at={(1, 0): (1_800, HANG_SECONDS)}
+            ),
         )
+        assert time.monotonic() - started < HANG_SECONDS / 3
         assert summary_to_json(chaotic) == summary_to_json(clean)

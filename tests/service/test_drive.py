@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.atm.qos import QoSRequirement
 from repro.exceptions import ParameterError
 from repro.models import make_s
-from repro.parallel.backends import ProcessPoolBackend
+from repro.parallel.backends import warm_pool
 from repro.parallel.shm import SEGMENT_PREFIX, owned_segments
 from repro.service.drive import (
     DRIVE_QUANTILES,
@@ -249,7 +249,7 @@ class TestDriveParallel:
             seed=SEED,
         )
         serial = drive(classes, **kwargs)
-        pooled = drive(classes, backend=ProcessPoolBackend(2), **kwargs)
+        pooled = drive(classes, backend=warm_pool(2), **kwargs)
         assert [_point_counters(p) for p in serial.points] == [
             _point_counters(p) for p in pooled.points
         ]

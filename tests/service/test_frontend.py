@@ -15,6 +15,7 @@ import pytest
 from repro.atm.qos import QoSRequirement
 from repro.exceptions import ParameterError
 from repro.models import make_s
+from repro.parallel.shm import attach_blob
 from repro.service.frontend import (
     AdmissionFrontend,
     ConsistentHashRing,
@@ -306,7 +307,8 @@ class TestRepublish:
             text = self._rebuilt_text(classes, qos, estimated)
             frontend.republish(text)
             # The new shm snapshot carries the rebuilt entries.
-            assert frontend.table_text == frontend._snapshot_text()
+            snapshot = attach_blob(frontend.table_descriptor)
+            assert snapshot.decode("utf-8") == frontend.table_text
             new_boundary = frontend.boundary("dar1")
             with _frontend(classes, qos) as fresh:
                 assert new_boundary < fresh.boundary("dar1")

@@ -12,7 +12,7 @@ import pytest
 from repro.atm.qos import QoSRequirement
 from repro.exceptions import ParameterError
 from repro.models import AR1Model, make_s
-from repro.parallel.backends import ProcessPoolBackend
+from repro.parallel.backends import warm_pool
 from repro.service.replay import (
     LinkStats,
     replay_link,
@@ -191,7 +191,7 @@ class TestReplayWorkload:
             overloaded_spec,
             classes,
             rng=11,
-            backend=ProcessPoolBackend(2),
+            backend=warm_pool(2),
             **kwargs,
         )
         assert summary_to_json(parallel) == summary_to_json(serial)
@@ -287,7 +287,7 @@ class TestTelemetry:
                 overloaded_spec,
                 classes,
                 rng=11,
-                backend=ProcessPoolBackend(2),
+                backend=warm_pool(2),
                 **kwargs,
             )
             parallel = self._deterministic_metrics()
@@ -311,7 +311,7 @@ class TestTelemetry:
                 capacity=CAPACITY,
                 qos=qos,
                 rng=3,
-                backend=ProcessPoolBackend(2),
+                backend=warm_pool(2),
             )
             records = obs.records()
             assert records

@@ -5,41 +5,52 @@ never *what* they contain — a supervised run with injected crashes
 returns exactly the results a fault-free run would, in index order.
 """
 
+import json
+import os
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
 from repro import obs
 from repro.exceptions import ParameterError, SimulationError
-from repro.parallel.backends import ProcessPoolBackend, SerialBackend
+from repro.parallel.backends import SerialBackend, WarmPoolBackend
+from repro.resilience import ResiliencePolicy, run_replications
 from repro.service.supervision import (
+    FAIL_FAST,
     ShardSupervisor,
     SupervisionPolicy,
 )
 from repro.utils.replication_context import current_attempt
 
+#: How long an injected hang sleeps: far past every shard budget below,
+#: so a run that returns well before it did not wait for the hung task.
+HANG_SECONDS = 30.0
+
 
 class DrawTask:
     """Deterministic per-index output; optional per-epoch faults.
 
-    ``crash_at`` / ``hang_at`` are addressed by ``(index, attempt)``
-    read from the ambient replication context — the same addressing
-    the chaos plans use — so attempt 0 can fail while the restarted
-    attempt 1 succeeds, on identical inputs.
+    ``crash_at`` / ``hang_at`` / ``die_at`` are addressed by
+    ``(index, attempt)`` read from the ambient replication context —
+    the same addressing the chaos plans use — so attempt 0 can fail
+    while the restarted attempt 1 succeeds, on identical inputs.
     """
 
-    def __init__(self, crash_at=(), hang_at=(), hang_seconds=1.5):
+    def __init__(self, crash_at=(), hang_at=(), die_at=()):
         self.crash_at = frozenset(crash_at)
         self.hang_at = frozenset(hang_at)
-        self.hang_seconds = hang_seconds
+        self.die_at = frozenset(die_at)
 
     def __call__(self, index, generator):
         key = current_attempt()
         if key in self.crash_at:
             raise SimulationError(f"injected crash at {key}")
         if key in self.hang_at:
-            time.sleep(self.hang_seconds)
+            time.sleep(HANG_SECONDS)
+        if key in self.die_at:
+            os._exit(1)  # the worker process dies, as under an OOM kill
         return float(generator.integers(0, 10_000)), 100.0
 
 
@@ -183,47 +194,117 @@ class TestInlineSupervision:
         assert run_values(supervised) == run_values(baseline)
 
 
+@pytest.fixture
+def pool():
+    backend = WarmPoolBackend(2, start_method="fork")
+    try:
+        yield backend
+    finally:
+        backend.shutdown()
+
+
+def timed_values(supervisor):
+    """``supervisor``'s values and the wall-clock seconds of its run."""
+    started = time.monotonic()
+    values = run_values(supervisor)
+    return values, time.monotonic() - started
+
+
 class TestPoolSupervision:
-    def test_crash_restart_matches_fault_free(self):
+    def test_crash_restart_matches_fault_free(self, pool):
         baseline = supervise(DrawTask(), 3, policy=SupervisionPolicy())
         supervised = supervise(
             DrawTask(crash_at=[(2, 0)]),
             3,
-            backend=ProcessPoolBackend(2, start_method="fork"),
+            backend=pool,
             policy=SupervisionPolicy(max_restarts=1),
         )
         assert run_values(supervised) == run_values(baseline)
 
-    def test_hung_shard_restarted_and_stale_result_discarded(self):
+    def test_hung_shard_restarted_and_stale_result_discarded(self, pool):
         baseline = supervise(DrawTask(), 2, policy=SupervisionPolicy())
         supervised = supervise(
-            DrawTask(hang_at=[(1, 0)], hang_seconds=1.5),
+            DrawTask(hang_at=[(1, 0)]),
             2,
-            backend=ProcessPoolBackend(2, start_method="fork"),
+            backend=pool,
             policy=SupervisionPolicy(
                 max_restarts=1,
                 shard_timeout_seconds=0.3,
                 heartbeat_seconds=0.1,
             ),
         )
-        values = run_values(supervised)
+        values, elapsed = timed_values(supervised)
         assert values == run_values(baseline)
         report = supervised.reports[1]
         assert report.hangs == 1
         assert report.restarts == 1
         # The surviving result is the attempt-1 epoch, not the hung one.
         assert report.attempts == 2
+        # The hung worker was recycled, not waited out.
+        assert elapsed < HANG_SECONDS / 3
 
     def test_hang_budget_exhaustion_raises(self):
+        backend = WarmPoolBackend(1, start_method="fork")
         supervisor = supervise(
-            DrawTask(hang_at=[(0, 0), (0, 1)], hang_seconds=1.0),
+            DrawTask(hang_at=[(0, 0), (0, 1)]),
             1,
-            backend=ProcessPoolBackend(1, start_method="fork"),
+            backend=backend,
             policy=SupervisionPolicy(
                 max_restarts=1,
                 shard_timeout_seconds=0.2,
                 heartbeat_seconds=0.05,
             ),
         )
-        with pytest.raises(SimulationError, match="declared hung"):
+        started = time.monotonic()
+        try:
+            with pytest.raises(SimulationError, match="declared hung"):
+                supervisor.run()
+        finally:
+            backend.shutdown()
+        assert time.monotonic() - started < HANG_SECONDS / 3
+
+    def test_dead_worker_restarted_like_a_crash(self, pool):
+        baseline = supervise(DrawTask(), 3, policy=SupervisionPolicy())
+        supervised = supervise(
+            DrawTask(die_at=[(1, 0)]),
+            3,
+            backend=pool,
+            policy=SupervisionPolicy(max_restarts=1),
+        )
+        assert run_values(supervised) == run_values(baseline)
+        assert supervised.reports[1].restarts >= 1
+        assert all(report.outcome == "ok" for report in supervised.reports)
+
+    def test_dead_worker_fails_a_fail_fast_run(self, pool):
+        supervisor = supervise(
+            DrawTask(die_at=[(1, 0)]), 3, backend=pool, policy=FAIL_FAST
+        )
+        with pytest.raises(BrokenProcessPool):
             supervisor.run()
+        # The next run respawns the workers.
+        assert run_values(
+            supervise(DrawTask(), 3, backend=pool, policy=FAIL_FAST)
+        ) == run_values(supervise(DrawTask(), 3))
+
+    def test_dead_worker_fails_replications_at_a_serial_prefix(
+        self, pool, tmp_path
+    ):
+        # The resilience engine does not retry a dead worker: it drains
+        # the indices below it, checkpoints them, then raises.
+        path = tmp_path / "ckpt.jsonl"
+        with pytest.raises(BrokenProcessPool):
+            run_replications(
+                DrawTask(die_at=[(2, 0)]),
+                4,
+                rng=5,
+                policy=ResiliencePolicy(
+                    max_retries=2, checkpoint_path=str(path)
+                ),
+                backend=pool,
+            )
+        records = [
+            json.loads(line) for line in path.read_text().splitlines()
+        ]
+        indices = [r["index"] for r in records if r["type"] == "replication"]
+        assert indices == list(range(len(indices)))
+        assert len(indices) <= 2
