@@ -80,6 +80,25 @@ class TestSerialBackend:
         assert SerialBackend().jobs == 1
 
 
+class TestProcessPoolBackend:
+    """The process pool as callers reach it: ``resolve_backend(jobs=N)``."""
+
+    def test_completes_all_payloads(self):
+        backend = resolve_backend(jobs=2)
+        try:
+            with backend.session() as session:
+                for i in range(5):
+                    session.submit(_payload(i))
+                results = []
+                while session.pending:
+                    results.append(session.next_completed())
+        finally:
+            backend.shutdown()
+        assert sorted(r.index for r in results) == [0, 1, 2, 3, 4]
+        by_index = {r.index: r for r in results}
+        assert all(by_index[i].value[0] == 2.0 * i for i in range(5))
+
+
 class TestWarmPoolBackend:
     def _run_one(self, backend):
         with backend.session() as session:
