@@ -19,9 +19,9 @@ Two backends:
   after a worker dies.  A dead worker fails the attempts it took down
   with it, as failed results; it never escapes a session.
 
-Large read-only blobs (decision-table images) cross the process
-boundary through :mod:`repro.parallel.shm`
-(``multiprocessing.shared_memory`` descriptors) instead of pickles.
+What a task needs travels in its payload, pickled on the pool; that
+includes the service's decision tables, as JSONL text of a few
+hundred bytes a decision.
 """
 
 from repro.parallel.backends import (
@@ -37,13 +37,6 @@ from repro.parallel.backends import (
     warm_pool,
 )
 from repro.parallel.dispatch import Hang, dispatch
-from repro.parallel.shm import (
-    SharedBlob,
-    attach_blob,
-    owned_segments,
-    publish_blob,
-    unlink_owned,
-)
 from repro.parallel.worker import (
     WorkerBatchPayload,
     WorkerBatchResult,
@@ -62,27 +55,22 @@ __all__ = [
     "BackendSession",
     "Hang",
     "SerialBackend",
-    "SharedBlob",
     "WarmPoolBackend",
     "WorkerBatchPayload",
     "WorkerBatchResult",
     "WorkerPayload",
     "WorkerResult",
-    "attach_blob",
     "dispatch",
     "execute",
     "execute_batch_payload",
     "execute_payload",
     "get_default_backend",
     "merge_result_telemetry",
-    "owned_segments",
     "pool_entry",
-    "publish_blob",
     "replication_pair",
     "resolve_backend",
     "set_default_backend",
     "shutdown_warm_pools",
-    "unlink_owned",
     "use_backend",
     "warm_pool",
 ]

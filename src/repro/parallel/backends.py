@@ -42,6 +42,7 @@ import itertools
 import multiprocessing
 import threading
 import time
+import weakref
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from typing import Iterator, Optional
@@ -301,7 +302,7 @@ class WarmPoolBackend(Backend):
         self.start_method = start_method
         self._executor: Optional[concurrent.futures.Executor] = None
         self._lock = threading.Lock()
-        atexit.register(self.shutdown)
+        _live_pools.add(self)
 
     def _ensure_executor(self) -> concurrent.futures.Executor:
         with self._lock:
@@ -385,6 +386,18 @@ class WarmPoolBackend(Backend):
             f"WarmPoolBackend(jobs={self.jobs}, "
             f"start_method={self.start_method!r})"
         )
+
+
+#: Every pool not yet garbage-collected.  One exit hook shuts down
+#: those still alive; a weak set, so a dropped pool is freed.
+_live_pools: "weakref.WeakSet[WarmPoolBackend]" = weakref.WeakSet()
+
+
+@atexit.register
+def _shutdown_live_pools() -> None:
+    """Shut down every live pool's workers (interpreter exit)."""
+    for pool in list(_live_pools):
+        pool.shutdown()
 
 
 #: Process-wide shared warm pools, keyed by worker count.  Sharing is

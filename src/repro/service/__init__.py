@@ -8,6 +8,8 @@ that the served boundary matches the offline one.
 * :mod:`repro.service.tables`   — memoized admissible-N decision
   tables: one offline inversion per distinct (model, capacity, QoS,
   policy), then O(1) LRU lookups, with optional JSONL persistence;
+  shards load their private caches from the JSONL text their payloads
+  carry (``load_table``);
 * :mod:`repro.service.engine`   — :class:`AdmissionEngine`: per-link
   admitted-mix state with ``admit()``/``release()`` for homogeneous
   (count) and heterogeneous (effective-bandwidth) policies;
@@ -28,13 +30,13 @@ that the served boundary matches the offline one.
   ``(task, stream)`` shard pairs in this process or on a pool, on the
   shared loop of :mod:`repro.parallel.dispatch`, each attempt on a
   fresh copy of its stream, restarting crashed/hung shards with
-  per-shard deadlines, heartbeats, and bounded retry; and the one
-  decision-table hand-off to shards;
+  per-shard deadlines, heartbeats, and bounded retry;
 * :mod:`repro.service.overload` — bounded admission queue, circuit
   breaker, and conservative peak-rate fallback under overload;
 * :mod:`repro.service.frontend` — the sharded admission frontend:
-  consistent-hash link placement, a shared-memory decision-table
-  snapshot, an in-process API, and an asyncio line-JSON server;
+  consistent-hash link placement, one decision-table snapshot text
+  every shard loads, an in-process API, and an asyncio line-JSON
+  server;
 * :mod:`repro.service.drive`    — the open-loop rho-driven load
   generator: derive lambda from rho and the admissible boundary,
   sweep rho toward 1, report p50/p99/p999 admit latency per point;

@@ -17,10 +17,10 @@ Execution is the frontend's sharded data plane, open-loop:
   :class:`~repro.service.frontend.ConsistentHashRing` the frontend
   serves from;
 * the decision-table snapshot is the frontend's
-  (:func:`~repro.service.frontend.build_table_snapshot`), handed to
-  the shards by :func:`~repro.service.supervision.table_handoff` —
-  published **once** through :mod:`repro.parallel.shm` on a process
-  backend (no locks, no pickled tables);
+  (:func:`~repro.service.frontend.build_table_snapshot`), built once
+  and shipped to the shards as its JSONL text in each shard's payload
+  (about 2 KB for four classes); every shard loads a private cache
+  from it, so no lock is shared;
 * each shard runs as one task through
   :class:`~repro.service.supervision.ShardSupervisor` on the
   :mod:`repro.parallel` backends — the warm worker pool for
@@ -66,15 +66,9 @@ from repro.service.engine import AdmissionEngine
 from repro.service.frontend import ConsistentHashRing, build_table_snapshot
 from repro.service.kernel import LinkLane
 from repro.service.overload import OverloadPolicy
-from repro.service.supervision import (
-    FAIL_FAST,
-    ShardSupervisor,
-    TableImage,
-    load_table,
-    table_handoff,
-)
+from repro.service.supervision import FAIL_FAST, ShardSupervisor
 from repro.service.telemetry import AGGREGATE_LATENCY
-from repro.service.tables import SERVICE_METHODS
+from repro.service.tables import SERVICE_METHODS, load_table
 from repro.service.workload import (
     ConnectionClass,
     WorkloadSpec,
@@ -237,12 +231,11 @@ class DriveReport:
 class _ShardDriveTask:
     """Picklable body of one shard's open-loop drive.
 
-    Carries the shard's index, its link ids and the table snapshot as
-    :func:`~repro.service.supervision.table_handoff` hands it over;
-    its stream is the tuple of its links' pre-spawned generators.
-    Builds one engine per link — all sharing one cache loaded from
-    the snapshot — and processes the shard's merged arrival stream
-    through them.
+    Carries the shard's index, its link ids and the table snapshot's
+    text; its stream is the tuple of its links' pre-spawned
+    generators.  Builds one engine per link — all sharing one cache
+    loaded from the snapshot — and processes the shard's merged
+    arrival stream through them.
     """
 
     shard_index: int
@@ -252,7 +245,7 @@ class _ShardDriveTask:
     capacity: float
     qos: QoSRequirement
     policy: str
-    table_image: TableImage = None
+    table_text: Optional[str] = None
     overload: Optional[OverloadPolicy] = None
     #: Optional nonstationary schedule (``repro.adaptive``): regime
     #: switches and diurnal ramps reshape each link's arrival stream
@@ -288,7 +281,7 @@ class _ShardDriveTask:
         is one ``lane.step`` of its link, the step
         :func:`~repro.service.replay.replay_link` runs too.
         """
-        tables = load_table(self.table_image)
+        tables = load_table(self.table_text)
         models = [c.model for c in self.classes]
 
         workloads = [self.generate(g) for g in link_generators]
@@ -425,8 +418,8 @@ def drive(
     shard's merged request stream runs open-loop through
     engine-per-link admission — on worker processes (the warm pool)
     for ``jobs > 1``, every shard loading its decision tables from
-    one shared-memory snapshot.  Per-link decision counters are
-    byte-identical to a serial :func:`~repro.service.replay
+    the snapshot text its payload carries.  Per-link decision
+    counters are byte-identical to a serial :func:`~repro.service.replay
     .replay_link` of the same spec and independent of ``n_shards`` /
     ``jobs``; latency sketches are merged across shards in
     shard-index order.
@@ -489,9 +482,7 @@ def drive(
     _spans.enable()
     points: List[DrivePoint] = []
     try:
-        with table_handoff(
-            table_text, exec_backend
-        ) as table_image, _tracectx.start_trace():
+        with _tracectx.start_trace():
             for rho in rho_grid:
                 latency_before = _latency_snapshot()
                 arrival_rate = derive_arrival_rate(
@@ -518,7 +509,7 @@ def drive(
                             capacity=float(capacity),
                             qos=qos,
                             policy=policy,
-                            table_image=table_image,
+                            table_text=table_text,
                             overload=overload,
                             regime_plan=regime_plan,
                             regime_classes=(

@@ -1,7 +1,6 @@
 """The async sharded admission frontend.
 
-ROADMAP open item 1's last structural piece: where
-:mod:`repro.service.replay` *replays* a recorded workload,
+Where :mod:`repro.service.replay` *replays* a recorded workload,
 this module *serves* admission — accept admit/release requests (over
 a socket, or through the in-process API the benchmarks and the
 open-loop driver use), route each link to its shard, and answer from
@@ -16,12 +15,11 @@ Three design rules, each load-bearing at scale:
   computes the same placement without coordination, and growing the
   shard count moves only ``~1/n`` of the links.
 * **immutable table snapshot** — the decision tables are computed
-  once, serialized to the JSONL image :meth:`DecisionTableCache
-  .dump_text` emits, and published through
-  :mod:`repro.parallel.shm` as one read-only segment.  Every shard
-  loads its private cache from that snapshot, so the admission hot
-  path never takes a cross-shard lock and never pickles a table —
-  the PR-8 transport, now serving the frontend.
+  once and serialized to the JSONL text :meth:`DecisionTableCache
+  .dump_text` emits (a few hundred bytes a decision).  Every shard
+  loads its private cache from that text, so the admission hot path
+  never takes a cross-shard lock; ``drive`` ships the same text to
+  its shards in their payloads.
 * **engine-per-link shards** — a shard owns the
   :class:`~repro.service.engine.AdmissionEngine` of every link the
   ring assigns it, all sharing the shard's snapshot-loaded cache.
@@ -47,13 +45,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.atm.qos import QoSRequirement
 from repro.exceptions import ParameterError, ReproError
-from repro.parallel.shm import SharedBlob, publish_blob
 from repro.service.engine import AdmissionDecision, AdmissionEngine
 from repro.service.overload import OverloadPolicy
-from repro.service.supervision import load_table
 from repro.service.tables import (
     SERVICE_METHODS,
     DecisionTableCache,
+    load_table,
 )
 from repro.service.workload import ConnectionClass
 from repro.utils.validation import check_integer, check_positive
@@ -203,19 +200,15 @@ class AdmissionFrontend:
         :data:`~repro.service.tables.SERVICE_METHODS`.
     n_shards:
         Shard count (engines grouped per shard; each shard owns a
-        private decision-table cache loaded from the shared snapshot).
+        private decision-table cache loaded from the snapshot text).
     overload:
         Optional :class:`~repro.service.overload.OverloadPolicy`
         applied *per link* — the PR-7 backpressure contract.
     table_path:
         Optional JSONL table file warming the snapshot.
     publish:
-        Publish the table snapshot through shared memory (the default;
-        every shard loads its cache from that segment).  With
-        ``False`` the snapshot stays an in-process string — useful for
-        tests on platforms without shared memory.  ``drive`` does not
-        read this segment: it hands its shards its own snapshot
-        through :func:`~repro.service.supervision.table_handoff`.
+        Ignored.  Every shard loads its cache from :attr:`table_text`;
+        the keyword stays only because ``perfbench/wire.py`` passes it.
     """
 
     def __init__(
@@ -266,19 +259,13 @@ class AdmissionFrontend:
             fallback_method=fallback,
             table_path=table_path,
         )
-        self._table_handle: Optional[SharedBlob] = None
-        self._publish = bool(publish)
         #: Monotone table generation: bumped by every completed
         #: :meth:`republish` (the adaptive hot-swap path).
         self.generation = 0
-        if publish:
-            self._table_handle = publish_blob(
-                self.table_text.encode("utf-8")
-            )
         self._shards: List[_Shard] = []
         self._link_shard: Dict[str, _Shard] = {}
         for index in range(n_shards):
-            tables = load_table(self.table_descriptor or self.table_text)
+            tables = load_table(self.table_text)
             self._shards.append(_Shard(index=index, tables=tables))
         for link_id in link_ids:
             shard = self._shards[self.ring.shard_for(link_id)]
@@ -308,13 +295,6 @@ class AdmissionFrontend:
                 f"{sorted(self._link_shard)}"
             )
         return shard.index
-
-    @property
-    def table_descriptor(self) -> Optional[dict]:
-        """Picklable shm address of the published table snapshot."""
-        if self._table_handle is None:
-            return None
-        return self._table_handle.descriptor
 
     def boundary(self, class_name: str) -> int:
         """Offline admissible N for ``class_name`` under the policy."""
@@ -415,52 +395,35 @@ class AdmissionFrontend:
     # -- hot table swap ------------------------------------------------------
 
     def republish(self, table_text: str) -> int:
-        """Atomically swap every shard onto a new decision-table image.
+        """Swap every shard onto a new decision-table image.
 
-        The adaptive recompute path (:mod:`repro.adaptive.recompute`)
-        builds a fresh JSONL table image off the hot path and installs
-        it here:
-
-        1. the new image is published as a *new* shared-memory segment
-           (the old one keeps serving attached readers until the swap
-           is complete);
-        2. each shard gets a freshly loaded private cache, and every
-           engine is repointed at its shard's new cache with its
-           hot-path key memos invalidated — link state (admitted
-           connections, occupancy, overload) is untouched, so no
-           in-flight connection is dropped;
-        3. only then is the old segment unlinked and the generation
-           bumped.
-
-        Requests decided before the swap used the old table, requests
-        after use the new one; there is no interleaving in which a
-        request sees half a table.  Returns the new generation.
+        A fresh JSONL table image (such as
+        :func:`repro.adaptive.recompute.rebuild_table_text` builds off
+        the hot path) replaces :attr:`table_text`; each shard gets a
+        freshly loaded private cache, and every engine is repointed at
+        its shard's new cache with its hot-path key memos invalidated.
+        Link state (admitted connections, occupancy, overload) is
+        untouched, so no in-flight connection is dropped.  The swap
+        runs between requests on the caller's thread, so requests
+        decided before it used the old table and requests after use
+        the new one; none sees half a table.  Returns the new
+        generation.
         """
-        new_handle: Optional[SharedBlob] = None
-        if self._publish:
-            new_handle = publish_blob(table_text.encode("utf-8"))
-        old_handle = self._table_handle
         self.table_text = table_text
-        self._table_handle = new_handle
         for shard in self._shards:
             # The retiring cache's hits would otherwise go unpublished.
             shard.tables.publish_hits()
-            tables = load_table(self.table_descriptor or self.table_text)
+            tables = load_table(table_text)
             shard.tables = tables
             for engine in shard.engines.values():
                 engine.tables = tables
                 engine.invalidate_decision_caches()
-        if old_handle is not None:
-            old_handle.unlink()
         self.generation += 1
         return self.generation
 
     def close(self) -> None:
-        """Flush telemetry and unlink the table snapshot (idempotent)."""
+        """Flush telemetry (idempotent)."""
         self.flush_telemetry()
-        handle, self._table_handle = self._table_handle, None
-        if handle is not None:
-            handle.unlink()
 
     def __enter__(self) -> "AdmissionFrontend":
         return self

@@ -8,8 +8,8 @@ Reachable both directly and through the experiment runner::
 
 ``serve`` starts the asyncio admission frontend
 (:mod:`repro.service.frontend`): newline-delimited JSON over TCP,
-links placed on shards by consistent hashing, decision tables
-published once as an immutable shared-memory snapshot.  ``drive``
+links placed on shards by consistent hashing, every shard loading
+its decision tables from one immutable snapshot text.  ``drive``
 runs the open-loop rho-driven load generator
 (:mod:`repro.service.drive`) against the same sharded data plane and
 prints the latency-vs-rho table: for each rho the arrival rate is

@@ -14,7 +14,8 @@ Scale comes from two places:
   inversion per distinct class and serves every further request from
   the LRU table, so a million-request replay costs a handful of
   Bahadur-Rao inversions (`ReplaySummary.cache_hit_rate` reports the
-  measured ratio);
+  measured ratio); a persisted table file is read once and its text
+  travels in every shard's payload (a few hundred bytes a decision);
 * **link sharding** — links are statistically independent (their RNG
   streams are ``SeedSequence``-spawned children of one seed), so the
   replay fans them out across the :mod:`repro.parallel` backends
@@ -82,11 +83,12 @@ from repro.service.supervision import (
     FAIL_FAST,
     ShardSupervisor,
     SupervisionPolicy,
-    TableImage,
-    load_table,
-    table_handoff,
 )
-from repro.service.tables import DecisionTableCache, model_fingerprint
+from repro.service.tables import (
+    DecisionTableCache,
+    load_table,
+    model_fingerprint,
+)
 from repro.service.workload import (
     ConnectionClass,
     WorkloadSpec,
@@ -218,7 +220,7 @@ def replay_link(
     rng: RngLike,
     link_index: int = 0,
     table_path=None,
-    table_image: TableImage = None,
+    table_text: Optional[str] = None,
     journal_prefix=None,
     snapshot_every: int = 2000,
     overload: Optional[OverloadPolicy] = None,
@@ -227,11 +229,9 @@ def replay_link(
     """Replay one link's workload through a fresh engine.
 
     The link's decision table starts from the persisted file at
-    ``table_path`` or, failing that, from ``table_image`` — the
-    table as :func:`~repro.service.supervision.table_handoff` hands
-    it to shards (its JSONL text, or a shared-memory descriptor of
-    it).  Either way the cache state (entries, counters) is identical
-    to a file load.
+    ``table_path`` or, failing that, from ``table_text`` — that
+    file's JSONL text as it travels in a shard's payload.  Either way
+    the cache state (entries, counters) is identical to a file load.
 
     Event-driven: each request, in arrival order, is one
     :meth:`~repro.service.kernel.LinkLane.step` — departures drained
@@ -260,7 +260,7 @@ def replay_link(
     )
 
     tables = (
-        load_table(table_image)
+        load_table(table_text)
         if table_path is None
         else DecisionTableCache(path=table_path, persist=False)
     )
@@ -412,7 +412,7 @@ class _LinkReplayTask:
     capacity: float
     qos: QoSRequirement
     policy: str
-    table_image: TableImage = None
+    table_text: Optional[str] = None
     journal_dir: Optional[str] = None
     snapshot_every: int = 2000
     overload: Optional[OverloadPolicy] = None
@@ -432,7 +432,7 @@ class _LinkReplayTask:
             policy=self.policy,
             rng=generator,
             link_index=index,
-            table_image=self.table_image,
+            table_text=self.table_text,
             journal_prefix=journal_prefix,
             snapshot_every=self.snapshot_every,
             overload=self.overload,
@@ -508,8 +508,8 @@ def replay_workload(
     worker processes (the shared warm pool for ``jobs=N``); the
     summary is bit-identical to a serial run on the same seed.
     ``table_path`` points every link at a shared persisted decision
-    table (loaded read-only; on a process backend the file ships to
-    workers once through shared memory).
+    table (read once here and loaded read-only by every link from its
+    text, which travels in each shard's payload).
 
     Without ``supervision`` a failed shard fails the whole replay
     (:data:`~repro.service.supervision.FAIL_FAST`).  With it, crashed
@@ -529,7 +529,7 @@ def replay_workload(
     table_text = None
     if table_path is not None and Path(table_path).exists():
         table_text = Path(table_path).read_text(encoding="utf-8")
-    with table_handoff(table_text, exec_backend) as table_image, span(
+    with span(
         "service.replay",
         links=n_links,
         requests=spec.n_requests * n_links,
@@ -542,7 +542,7 @@ def replay_workload(
             capacity=float(capacity),
             qos=qos,
             policy=policy,
-            table_image=table_image,
+            table_text=table_text,
             journal_dir=None if journal_dir is None else str(journal_dir),
             snapshot_every=snapshot_every,
             overload=overload,

@@ -36,12 +36,6 @@ injected faults at ``(shard, attempt)`` granularity.  A shard's result
 the process boundary as itself, and :meth:`ShardSupervisor.run`
 returns the results in shard-index order.
 
-A decision table reaches shards one way (:func:`table_handoff`): on a
-process backend its JSONL text is published once through
-:mod:`repro.parallel.shm` and every shard maps the same pages;
-otherwise shards receive the text itself.  :func:`load_table` turns
-either into a shard's private read-only cache.
-
 Determinism: restarts change *when* results arrive, never *what* they
 contain.  Results are returned in shard-index order and, because a
 recovered attempt replays the journal byte-exactly, a supervised run
@@ -67,24 +61,21 @@ from __future__ import annotations
 
 import copy
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ParameterError, SimulationError
 from repro.obs import metrics as _metrics
 from repro.obs import spans as _spans
 from repro.obs.spans import span
-from repro.parallel.backends import Backend, WarmPoolBackend
+from repro.parallel.backends import Backend
 from repro.parallel.dispatch import Hang, dispatch
-from repro.parallel.shm import attach_blob, publish_blob
 from repro.parallel.worker import (
     PayloadTask,
     WorkerPayload,
     WorkerResult,
     merge_result_telemetry,
 )
-from repro.service.tables import DecisionTableCache
 from repro.utils.validation import check_integer, check_positive
 
 __all__ = [
@@ -92,41 +83,7 @@ __all__ = [
     "ShardReport",
     "ShardSupervisor",
     "SupervisionPolicy",
-    "load_table",
-    "table_handoff",
 ]
-
-#: A decision table as shards receive it: its JSONL text, or the
-#: shared-memory descriptor of that text (None: no table).
-TableImage = Union[None, str, dict]
-
-
-@contextmanager
-def table_handoff(
-    text: Optional[str], backend: Optional[Backend]
-) -> Iterator[TableImage]:
-    """How a decision table reaches the shards of one fan-out.
-
-    On a process backend the text is published once through
-    :mod:`repro.parallel.shm`, shards receive the segment's descriptor
-    (no pickled tables, one set of pages for every worker), and the
-    segment is unlinked on exit; otherwise shards receive ``text``.
-    """
-    if text is None or not isinstance(backend, WarmPoolBackend):
-        yield text
-        return
-    with publish_blob(text.encode("utf-8")) as blob:
-        yield blob.descriptor
-
-
-def load_table(image: TableImage) -> DecisionTableCache:
-    """A shard's private read-only cache, loaded from ``image``."""
-    tables = DecisionTableCache(persist=False)
-    if isinstance(image, dict):
-        image = attach_blob(image).decode("utf-8")
-    if image is not None:
-        tables.load_text(image)
-    return tables
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,7 @@ __all__ = [
     "EFFECTIVE_BANDWIDTH_METHOD",
     "SERVICE_METHODS",
     "decision_key",
+    "load_table",
     "model_fingerprint",
 ]
 
@@ -291,9 +292,9 @@ class DecisionTableCache:
         """Load persisted entries from ``text`` (a JSONL table image).
 
         Exactly the parsing a ``path=`` construction performs — last
-        write wins, damaged lines dropped and counted — so a replay
-        worker handed a shared-memory image of the table file ends up
-        in the same state as one that read the file itself.
+        write wins, damaged lines dropped and counted — so a shard
+        handed the table file's text in its payload ends up in the
+        same state as one that read the file itself.
         """
         for line in text.splitlines():
             if not line.strip():
@@ -414,11 +415,11 @@ class DecisionTableCache:
         """The live entries as a JSONL table image (CRC-wrapped lines).
 
         Exactly the format :meth:`load_text` parses and ``path=``
-        persistence writes, so a cache warmed in one process can be
-        published once (e.g. through :mod:`repro.parallel.shm`) and
-        reloaded by any number of read-only consumers into the same
-        entry state — the immutable-snapshot transport the sharded
-        admission frontend uses.
+        persistence writes, so a cache warmed in one process travels
+        as this text in shard payloads and is reloaded by any number
+        of read-only consumers (:func:`load_table`) into the same
+        entry state — the immutable snapshot the sharded admission
+        frontend and every replay and drive shard load.
         """
         with self._lock:
             return "".join(
@@ -487,3 +488,16 @@ class DecisionTableCache:
             f"DecisionTableCache(entries={len(self._entries)}, "
             f"hits={self.hits}, misses={self.misses})"
         )
+
+
+def load_table(text: Optional[str]) -> DecisionTableCache:
+    """A shard's private read-only cache, loaded from a JSONL image.
+
+    ``text`` is what :meth:`DecisionTableCache.dump_text` emits or a
+    table file holds, shipped in the shard's payload (None: an empty
+    cache).
+    """
+    tables = DecisionTableCache(persist=False)
+    if text is not None:
+        tables.load_text(text)
+    return tables

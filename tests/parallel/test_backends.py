@@ -1,7 +1,9 @@
 """Tests for the execution-backend layer."""
 
+import gc
 import os
 import time
+import weakref
 from concurrent.futures import CancelledError
 from concurrent.futures.process import BrokenProcessPool
 
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ParameterError
+from repro.parallel import backends
 from repro.parallel import (
     SerialBackend,
     WarmPoolBackend,
@@ -250,6 +253,33 @@ class TestWarmPoolBackend:
     def test_shared_registry_caches_by_shape(self):
         assert warm_pool(2) is warm_pool(2)
         assert warm_pool(2) is not warm_pool(3)
+
+    def test_dropped_pools_are_collected(self):
+        # The exit hook holds pools weakly: a shut-down pool nobody
+        # references is freed, not kept alive until exit.
+        refs = []
+        for _ in range(5):
+            backend = WarmPoolBackend(1)
+            backend.shutdown()
+            refs.append(weakref.ref(backend))
+        del backend
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * 5
+
+    def test_exit_hook_shuts_down_live_pools(self, monkeypatch):
+        # A private registry, so the hook leaves the shared pools be.
+        monkeypatch.setattr(backends, "_live_pools", weakref.WeakSet())
+        backend = WarmPoolBackend(1, start_method="fork").warm()
+        try:
+            processes = list(backend._executor._processes.values())
+            assert processes and all(p.is_alive() for p in processes)
+            backends._shutdown_live_pools()
+            assert backend._executor is None
+            for process in processes:
+                process.join(timeout=30)
+                assert not process.is_alive()
+        finally:
+            backend.shutdown()
 
 
 class TestResolveBackend:

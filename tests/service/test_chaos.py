@@ -9,7 +9,6 @@ exception (the breaker changes decisions, conservatively); there the
 assertions are conservation + flagged fallbacks instead.
 """
 
-import os
 import time
 
 import numpy as np
@@ -19,9 +18,7 @@ from repro import obs
 from repro.atm.qos import QoSRequirement
 from repro.exceptions import JournalError, ParameterError
 from repro.models import make_s
-from repro.parallel import owned_segments
 from repro.parallel.backends import WarmPoolBackend
-from repro.parallel.shm import SEGMENT_PREFIX
 from repro.resilience.faults import ServiceFaultPlan
 from repro.service.overload import OverloadPolicy
 from repro.service.replay import replay_link, replay_workload
@@ -298,18 +295,6 @@ class TestTableFaultChaos:
         assert first.boundary_violations == 0
 
 
-def _shm_entries():
-    """Live repro shared-memory segments visible in /dev/shm."""
-    try:
-        return sorted(
-            e
-            for e in os.listdir("/dev/shm")
-            if e.startswith(SEGMENT_PREFIX)
-        )
-    except OSError:
-        return []
-
-
 def _warmed_table(tmp_path, classes, qos):
     """A persisted decision-table file, as the service CLI seeds it."""
     from repro.service.tables import DecisionTableCache
@@ -321,12 +306,13 @@ def _warmed_table(tmp_path, classes, qos):
     return path
 
 
-class TestSharedMemoryLifecycle:
-    """The shm table transport must never leak segments — not on a
-    clean replay, not when shards crash, not when the supervisor
-    fences a hung worker out of a warm pool."""
+class TestTableFileOnPool:
+    """A table file's text reaches pooled shards in their payloads and
+    loads exactly as the file does — on a clean replay, when shards
+    crash, and when the supervisor fences a hung worker out of a warm
+    pool."""
 
-    def test_table_image_matches_file_load_and_unlinks(
+    def test_table_text_matches_file_load(
         self, spec, classes, qos, tmp_path, pool
     ):
         table = _warmed_table(tmp_path, classes, qos)
@@ -340,10 +326,8 @@ class TestSharedMemoryLifecycle:
         )
         assert summary_to_json(pooled) == summary_to_json(serial)
         assert pooled.cache_hits > 0
-        assert _shm_entries() == []
-        assert owned_segments() == ()
 
-    def test_crash_chaos_leaves_no_segments(
+    def test_crash_chaos_with_table_file(
         self, spec, classes, qos, tmp_path, pool
     ):
         table = _warmed_table(tmp_path, classes, qos)
@@ -359,10 +343,8 @@ class TestSharedMemoryLifecycle:
             faults=ServiceFaultPlan(crash_shard_at={(0, 0): 2_100}),
         )
         assert summary_to_json(chaotic) == summary_to_json(clean)
-        assert _shm_entries() == []
-        assert owned_segments() == ()
 
-    def test_hang_fence_recycles_warm_pool_and_cleans_up(
+    def test_hang_fence_recycles_warm_pool(
         self, spec, classes, qos, tmp_path, pool
     ):
         table = _warmed_table(tmp_path, classes, qos)
@@ -398,11 +380,8 @@ class TestSharedMemoryLifecycle:
         assert summary_to_json(chaotic) == summary_to_json(clean)
         assert elapsed < HANG_SECONDS / 3
         # The fenced hang forced the warm pool to replace its workers;
-        # the hung process must not survive in a slot, and the shared
-        # table image must still be unlinked.
+        # the hung process must not survive in a slot.
         assert counters.get("service.pool_recycled") == 1
-        assert _shm_entries() == []
-        assert owned_segments() == ()
 
 
 class TestParallelChaosParity:

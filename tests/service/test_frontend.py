@@ -1,10 +1,10 @@
 """Tests for the sharded admission frontend.
 
 Load-bearing properties: consistent-hash placement is a pure function
-of (link id, shard count, replicas); the published shared-memory
-table snapshot reproduces the staged decision table exactly; the
-in-process API and the asyncio wire protocol reach the same engine
-state; and overload semantics flow through unchanged from PR-7.
+of (link id, shard count, replicas); every shard's cache, loaded from
+the table snapshot's text, reproduces the staged decision table
+exactly; the in-process API and the asyncio wire protocol reach the
+same engine state; and overload semantics flow through unchanged.
 """
 
 import asyncio
@@ -15,7 +15,6 @@ import pytest
 from repro.atm.qos import QoSRequirement
 from repro.exceptions import ParameterError
 from repro.models import make_s
-from repro.parallel.shm import attach_blob
 from repro.service.frontend import (
     AdmissionFrontend,
     ConsistentHashRing,
@@ -40,7 +39,6 @@ def classes():
 
 def _frontend(classes, qos, **kwargs):
     kwargs.setdefault("n_shards", 2)
-    kwargs.setdefault("publish", False)
     return AdmissionFrontend(
         classes,
         ["link-0", "link-1", "link-2", "link-3"],
@@ -110,15 +108,16 @@ class TestTableSnapshot:
         assert cache.stats()["hits"] >= 1
 
     def test_published_and_private_snapshots_agree(self, classes, qos):
-        with _frontend(classes, qos, publish=True) as published:
-            descriptor = published.table_descriptor
-            assert descriptor is not None
-            private = _frontend(classes, qos, publish=False)
-            try:
-                assert published.table_text == private.table_text
-                assert private.table_descriptor is None
-            finally:
-                private.close()
+        # ``publish=`` is an ignored keyword: either way every shard
+        # loads its cache from the same snapshot text.
+        with _frontend(classes, qos, publish=True) as published, _frontend(
+            classes, qos, publish=False
+        ) as private:
+            assert published.table_text == private.table_text
+            for frontend in (published, private):
+                assert [s.tables.dump_text() for s in frontend._shards] == [
+                    frontend.table_text
+                ] * 2
 
 
 class TestAdmissionFrontend:
@@ -129,7 +128,6 @@ class TestAdmissionFrontend:
                 ["link-0", "link-0"],
                 capacity=CAPACITY,
                 qos=qos,
-                publish=False,
             )
 
     def test_admit_release_cycle(self, classes, qos):
@@ -302,13 +300,15 @@ class TestRepublish:
     def test_swap_with_published_snapshot(self, classes, qos):
         from repro.models import AR1Model
 
-        with _frontend(classes, qos, publish=True) as frontend:
+        with _frontend(classes, qos) as frontend:
             estimated = AR1Model(0.6, 1000.0, 10000.0)
             text = self._rebuilt_text(classes, qos, estimated)
             frontend.republish(text)
-            # The new shm snapshot carries the rebuilt entries.
-            snapshot = attach_blob(frontend.table_descriptor)
-            assert snapshot.decode("utf-8") == frontend.table_text
+            # Every shard reloaded its cache from the new snapshot.
+            assert frontend.table_text == text
+            assert [s.tables.dump_text() for s in frontend._shards] == [
+                text
+            ] * 2
             new_boundary = frontend.boundary("dar1")
             with _frontend(classes, qos) as fresh:
                 assert new_boundary < fresh.boundary("dar1")

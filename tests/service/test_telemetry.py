@@ -203,7 +203,6 @@ class TestFrontendFlushPoints:
             capacity=CAPACITY,
             qos=qos,
             n_shards=2,
-            publish=False,
         )
 
         def counters():

@@ -25,6 +25,11 @@ class TestExports:
             "repro.atm",
             "repro.experiments",
             "repro.utils",
+            "repro.parallel",
+            "repro.service",
+            "repro.adaptive",
+            "repro.obs",
+            "repro.resilience",
         ],
     )
     def test_subpackage_all_resolves(self, module):
