@@ -45,7 +45,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.atm.qos import QoSRequirement
 from repro.exceptions import ParameterError, ReproError
-from repro.service.engine import AdmissionDecision, AdmissionEngine
+from repro.service.engine import (
+    REASON_ADMITTED,
+    REASON_CAPACITY,
+    REASON_SHED,
+    AdmissionDecision,
+    AdmissionEngine,
+)
 from repro.service.overload import OverloadPolicy
 from repro.service.tables import (
     SERVICE_METHODS,
@@ -60,8 +66,28 @@ __all__ = [
     "ConsistentHashRing",
     "FrontendServer",
     "FrontendStats",
+    "MAX_LINE_BYTES",
     "build_table_snapshot",
 ]
+
+#: Longest request line :class:`FrontendServer` accepts, in bytes
+#: without its newline (asyncio's default stream limit).
+MAX_LINE_BYTES = 65536
+#: Bytes asked of the socket per read; each read is answered as a batch.
+_READ_BYTES = 65536
+#: ``json.dumps(response, sort_keys=True)`` of an admit answer, the
+#: decision's fields left as slots.  Filling it costs a fraction of
+#: ``json.dumps``, which builds a new encoder on every call.
+_ADMIT_RESPONSE = (
+    b'{"admissible": %d, "admitted": %b, "fallback": %b, '
+    b'"occupancy": %d, "ok": true, "reason": %b, "shard": %d}\n'
+)
+_RELEASE_RESPONSE = b'{"ok": true}\n'
+#: JSON spellings of the reasons the engine reports.
+_REASON_JSON = {
+    reason: json.dumps(reason).encode("utf-8")
+    for reason in (REASON_ADMITTED, REASON_CAPACITY, REASON_SHED)
+}
 
 
 class ConsistentHashRing:
@@ -456,11 +482,20 @@ class FrontendServer:
     ``{"op": "ping"}``
         -> ``{"ok": true, "pong": true}``
 
-    Service errors (unknown link/class, double admit) come back as
-    ``{"ok": false, "error": "..."}`` on the same line — the
-    connection survives; malformed JSON likewise.  All shards live on
-    the server's event loop, so per-connection handlers never race on
-    engine state.
+    Responses are ``json.dumps(response, sort_keys=True)`` bytes; the
+    admit and release answers are filled from pre-sorted templates
+    that spell them byte for byte the same.  A pipelined burst is
+    answered one socket read at a time: every complete line of a read
+    is decided in order and the read's responses go out in one write,
+    still one response per line.  A line may be at most
+    :data:`MAX_LINE_BYTES` bytes; a longer one is answered with an
+    error and skipped through its newline.  Service errors (unknown
+    link/class, double admit) come back as ``{"ok": false, "error":
+    "..."}`` on the same line — the connection survives; malformed
+    JSON likewise.  All shards live on the server's event loop, so
+    per-connection handlers never race on engine state.
+    :meth:`stop` closes the live connections before it waits for the
+    listener to shut.
     """
 
     def __init__(
@@ -474,6 +509,9 @@ class FrontendServer:
         self.host = host
         self.port = port
         self._server: Optional[asyncio.AbstractServer] = None
+        #: The handler task serving each live connection, by its
+        #: writer; stop() closes the writers and awaits the tasks.
+        self._handlers: Dict[asyncio.StreamWriter, asyncio.Task] = {}
 
     async def start(self) -> "FrontendServer":
         """Bind and start accepting; resolves ``port`` when 0."""
@@ -484,88 +522,136 @@ class FrontendServer:
         return self
 
     async def serve_forever(self) -> None:
+        """Serve until cancelled, then :meth:`stop`."""
         if self._server is None:
             await self.start()
-        async with self._server:
-            await self._server.serve_forever()
+        try:
+            # Not ``Server.serve_forever``: cancelled, it waits for
+            # the listener to close, which from Python 3.12.1 on waits
+            # for every open connection, before stop() could close them.
+            await asyncio.get_running_loop().create_future()
+        finally:
+            await self.stop()
 
     async def stop(self) -> None:
+        """Stop accepting, close every live connection, and wait.
+
+        A connection closes once its answers so far are flushed, and
+        its handler then sees end of stream and returns.  One with
+        answers still queued is aborted instead: its client is not
+        reading them, and a flush would wait for it.
+        """
         server, self._server = self._server, None
         if server is not None:
             server.close()
+            handlers = list(self._handlers.values())
+            for writer in self._handlers:
+                if writer.transport.get_write_buffer_size():
+                    writer.transport.abort()
+                else:
+                    writer.close()
             await server.wait_closed()
+            if handlers:
+                await asyncio.wait(handlers)
 
-    def _dispatch(self, request: dict) -> dict:
-        op = request.get("op")
-        if op == "admit":
-            decision = self.frontend.admit(
-                str(request["link"]),
-                str(request["class"]),
-                str(request["conn"]),
-                now=(
-                    None if request.get("now") is None
-                    else float(request["now"])
-                ),
-            )
-            return {
-                "ok": True,
-                "admitted": decision.admitted,
-                "reason": decision.reason,
-                "admissible": decision.admissible,
-                "occupancy": decision.occupancy,
-                "shard": self.frontend.shard_of(decision.link_id),
-                "fallback": decision.fallback,
-            }
-        if op == "release":
-            self.frontend.release(
-                str(request["link"]), str(request["conn"])
-            )
-            return {"ok": True}
-        if op == "stats":
-            return {"ok": True, "stats": self.frontend.stats().to_dict()}
-        if op == "ping":
-            return {"ok": True, "pong": True}
-        raise ParameterError(
-            f"unknown op {op!r}; choose admit, release, stats, or ping"
-        )
+    def _answer(self, line: bytes) -> bytes:
+        """The response line to one request line (newline stripped)."""
+        try:
+            if len(line) > MAX_LINE_BYTES:
+                raise ParameterError(
+                    f"request line longer than the {MAX_LINE_BYTES}-byte "
+                    f"limit"
+                )
+            request = json.loads(line.decode("utf-8"))
+            if not isinstance(request, dict):
+                raise ParameterError("request must be a JSON object")
+            op = request.get("op")
+            if op == "admit":
+                now = request.get("now")
+                decision = self.frontend.admit(
+                    str(request["link"]),
+                    str(request["class"]),
+                    str(request["conn"]),
+                    now=None if now is None else float(now),
+                )
+                return _ADMIT_RESPONSE % (
+                    decision.admissible,
+                    b"true" if decision.admitted else b"false",
+                    b"true" if decision.fallback else b"false",
+                    decision.occupancy,
+                    _REASON_JSON[decision.reason],
+                    self.frontend.shard_of(decision.link_id),
+                )
+            if op == "release":
+                self.frontend.release(
+                    str(request["link"]), str(request["conn"])
+                )
+                return _RELEASE_RESPONSE
+            if op == "stats":
+                response = {
+                    "ok": True, "stats": self.frontend.stats().to_dict()
+                }
+            elif op == "ping":
+                response = {"ok": True, "pong": True}
+            else:
+                raise ParameterError(
+                    f"unknown op {op!r}; choose admit, release, stats, "
+                    f"or ping"
+                )
+        except (
+            ReproError, KeyError, TypeError, ValueError, RecursionError
+        ) as exc:
+            # A bad request must not take the connection (let alone
+            # the server) down: report and keep reading.  (Nesting
+            # deeper than the interpreter's recursion limit makes
+            # json.loads raise RecursionError.)
+            response = {"ok": False, "error": str(exc)}
+        return json.dumps(response, sort_keys=True).encode("utf-8") + b"\n"
 
     async def _handle(
         self,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
+        if self._server is None:
+            writer.close()  # accepted just before stop(); not served
+            return
+        self._handlers[writer] = asyncio.current_task()
+        answer = self._answer
+        # The incomplete last line of the reads so far.
+        tail = b""
+        # Inside a line already answered as too long: drop its bytes.
+        skipping = False
         try:
             while True:
-                line = await reader.readline()
-                if not line:
+                data = await reader.read(_READ_BYTES)
+                if not data:
                     break
-                try:
-                    request = json.loads(line)
-                    if not isinstance(request, dict):
-                        raise ParameterError(
-                            "request must be a JSON object"
-                        )
-                    response = self._dispatch(request)
-                except (ReproError, KeyError, TypeError, ValueError) as exc:
-                    # A bad request must not take the connection (let
-                    # alone the server) down: report and keep reading.
-                    response = {"ok": False, "error": str(exc)}
-                writer.write(
-                    json.dumps(response, sort_keys=True).encode("utf-8")
-                    + b"\n"
-                )
+                lines = (tail + data).split(b"\n")
+                tail = lines.pop()
+                if skipping:
+                    if not lines:
+                        tail = b""
+                        continue
+                    del lines[0]
+                    skipping = False
+                if len(tail) > MAX_LINE_BYTES:
+                    # Answer an over-long line before its newline
+                    # arrives, so the tail stays within the limit.
+                    lines.append(tail)
+                    tail = b""
+                    skipping = True
+                if lines:
+                    writer.write(b"".join([answer(line) for line in lines]))
+                    await writer.drain()
+            if tail:
+                writer.write(answer(tail))
                 await writer.drain()
         except (ConnectionResetError, BrokenPipeError):
-            pass  # client went away mid-line; nothing to answer
+            pass  # client went away mid-batch; nothing to answer
         finally:
+            del self._handlers[writer]
             writer.close()
-            try:
-                await writer.wait_closed()
-            except (asyncio.CancelledError, Exception):  # noqa: B014
-                # Teardown only: the transport may already be gone
-                # (client reset, loop shutdown); there is nothing
-                # left to fail.
-                pass
 
     def __repr__(self) -> str:
         return (

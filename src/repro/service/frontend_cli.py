@@ -156,10 +156,7 @@ async def _serve(frontend: AdmissionFrontend, host: str, port: int) -> None:
         f"{frontend.stats().n_shards} shards); Ctrl-C stops",
         flush=True,
     )
-    try:
-        await server.serve_forever()
-    finally:
-        await server.stop()
+    await server.serve_forever()
 
 
 def _cmd_serve(args, parser) -> int:

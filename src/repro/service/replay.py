@@ -84,11 +84,7 @@ from repro.service.supervision import (
     ShardSupervisor,
     SupervisionPolicy,
 )
-from repro.service.tables import (
-    DecisionTableCache,
-    load_table,
-    model_fingerprint,
-)
+from repro.service.tables import load_table, model_fingerprint
 from repro.service.workload import (
     ConnectionClass,
     WorkloadSpec,
@@ -219,7 +215,6 @@ def replay_link(
     policy: str,
     rng: RngLike,
     link_index: int = 0,
-    table_path=None,
     table_text: Optional[str] = None,
     journal_prefix=None,
     snapshot_every: int = 2000,
@@ -228,10 +223,10 @@ def replay_link(
 ) -> LinkStats:
     """Replay one link's workload through a fresh engine.
 
-    The link's decision table starts from the persisted file at
-    ``table_path`` or, failing that, from ``table_text`` — that
-    file's JSONL text as it travels in a shard's payload.  Either way
-    the cache state (entries, counters) is identical to a file load.
+    The link's decision table is loaded from ``table_text`` — a
+    persisted table file's JSONL text as it travels in a shard's
+    payload, or ``None`` for an empty table — so the cache state
+    (entries, counters) is identical to a load of that file.
 
     Event-driven: each request, in arrival order, is one
     :meth:`~repro.service.kernel.LinkLane.step` — departures drained
@@ -259,11 +254,7 @@ def replay_link(
         else NO_CUES
     )
 
-    tables = (
-        load_table(table_text)
-        if table_path is None
-        else DecisionTableCache(path=table_path, persist=False)
-    )
+    tables = load_table(table_text)
     faulty_tables = None
     if cues.table_faults:
         faulty_tables = FaultyDecisionTables(tables, cues.table_faults, policy)

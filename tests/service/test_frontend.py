@@ -8,14 +8,19 @@ same engine state; and overload semantics flow through unchanged.
 """
 
 import asyncio
+import itertools
 import json
+import random
 
 import pytest
 
 from repro.atm.qos import QoSRequirement
 from repro.exceptions import ParameterError
 from repro.models import make_s
+from repro.service import engine as engine_module
+from repro.service.engine import AdmissionDecision
 from repro.service.frontend import (
+    MAX_LINE_BYTES,
     AdmissionFrontend,
     ConsistentHashRing,
     FrontendServer,
@@ -260,6 +265,382 @@ class TestFrontendServer:
                     await server.stop()
 
         self._run(scenario())
+
+
+def _admit_line(link, conn, class_name="dar1"):
+    return json.dumps(
+        {"op": "admit", "link": link, "class": class_name, "conn": conn}
+    )
+
+
+def _reference_answer(decision, shard):
+    """What the server must send for ``decision``: json.dumps, sorted."""
+    response = {
+        "ok": True,
+        "admitted": decision.admitted,
+        "reason": decision.reason,
+        "admissible": decision.admissible,
+        "occupancy": decision.occupancy,
+        "shard": shard,
+        "fallback": decision.fallback,
+    }
+    return (json.dumps(response, sort_keys=True) + "\n").encode("utf-8")
+
+
+def _pipelined_stream(reference, links, n_requests, rng):
+    """Seeded admit/release requests on ``links`` and their answers.
+
+    ``reference`` (an in-process frontend) decides each request as it
+    is generated; releases name only connections it admitted.
+    """
+    requests, expected = [], []
+    admitted = {link: [] for link in links}
+    release_answer = (json.dumps({"ok": True}, sort_keys=True) + "\n")
+    for j in range(n_requests):
+        link = rng.choice(links)
+        if admitted[link] and rng.random() < 0.4:
+            conn = admitted[link].pop(rng.randrange(len(admitted[link])))
+            reference.release(link, conn)
+            requests.append(json.dumps(
+                {"op": "release", "link": link, "conn": conn}
+            ))
+            expected.append(release_answer.encode("utf-8"))
+            continue
+        conn = f"c{j}"
+        decision = reference.admit(link, "dar1", conn)
+        if decision.admitted:
+            admitted[link].append(conn)
+        requests.append(_admit_line(link, conn))
+        expected.append(
+            _reference_answer(decision, reference.shard_of(link))
+        )
+    payload = ("\n".join(requests) + "\n").encode("utf-8")
+    return payload, expected
+
+
+async def _read_lines(reader, count):
+    return [await reader.readline() for _ in range(count)]
+
+
+class TestBatchedReader:
+    """Each socket read is answered as one batch, line by line."""
+
+    def _serve(self, classes, qos, scenario):
+        async def run():
+            with _frontend(classes, qos) as frontend:
+                server = await FrontendServer(frontend).start()
+                try:
+                    reader, writer = await asyncio.open_connection(
+                        server.host, server.port
+                    )
+                    try:
+                        return await asyncio.wait_for(
+                            scenario(reader, writer), 30
+                        )
+                    finally:
+                        writer.close()
+                finally:
+                    await server.stop()
+
+        return asyncio.run(run())
+
+    def test_pipelined_requests_match_in_process_answers(
+        self, classes, qos
+    ):
+        # 2,000 requests over two connections, each connection's share
+        # in one write (about 75 KB, so lines straddle reads).  Each
+        # connection owns two links, so its answers do not depend on
+        # how the server interleaves the connections.
+        rng = random.Random(20261019)
+        with _frontend(classes, qos) as reference:
+            assert {reference.shard_of(f"link-{i}") for i in range(4)} == {
+                0, 1
+            }
+            streams = [
+                _pipelined_stream(
+                    reference, [f"link-{2 * c}", f"link-{2 * c + 1}"],
+                    1000, rng,
+                )
+                for c in range(2)
+            ]
+        answers = b"".join(line for _, lines in streams for line in lines)
+        assert b'"admitted": false' in answers  # the boundary was hit
+
+        async def scenario():
+            with _frontend(classes, qos) as frontend:
+                server = await FrontendServer(frontend).start()
+                try:
+                    conns = [
+                        await asyncio.open_connection(
+                            server.host, server.port
+                        )
+                        for _ in streams
+                    ]
+                    for (_, writer), (payload, _) in zip(conns, streams):
+                        writer.write(payload)
+                    received = await asyncio.gather(
+                        *(
+                            _read_lines(reader, len(expected))
+                            for (reader, _), (_, expected) in zip(
+                                conns, streams
+                            )
+                        )
+                    )
+                    for _, writer in conns:
+                        writer.close()
+                    return received
+                finally:
+                    await server.stop()
+
+        received = asyncio.run(asyncio.wait_for(scenario(), 60))
+        for got, (_, expected) in zip(received, streams):
+            assert got == expected
+
+    def test_line_split_across_writes(self, classes, qos):
+        line = _admit_line("link-0", "c0").encode("utf-8")
+
+        async def scenario(reader, writer):
+            writer.write(b'{"op": "ping"}\n' + line[:20])
+            await writer.drain()
+            await asyncio.sleep(0.05)
+            writer.write(line[20:] + b"\n")
+            first, second = await _read_lines(reader, 2)
+            return json.loads(first), json.loads(second)
+
+        ping, admit = self._serve(classes, qos, scenario)
+        assert ping == {"ok": True, "pong": True}
+        assert admit["ok"] and admit["admitted"] and admit["occupancy"] == 1
+
+    def test_final_line_without_newline_is_answered(self, classes, qos):
+        async def scenario(reader, writer):
+            writer.write(b'{"op": "ping"}\n{"op": "ping"}')
+            writer.write_eof()
+            return await reader.read()
+
+        assert self._serve(classes, qos, scenario) == (
+            b'{"ok": true, "pong": true}\n' * 2
+        )
+
+    def test_bad_lines_answer_only_themselves(self, classes, qos):
+        ping = b'{"op": "ping"}'
+        batch = b"\n".join(
+            [ping, b'{"op": ', ping, b"[1, 2]", ping, b"\xff\xfe{}", ping]
+        ) + b"\n"
+
+        async def scenario(reader, writer):
+            writer.write(batch)
+            return [json.loads(line) for line in await _read_lines(reader, 7)]
+
+        answers = self._serve(classes, qos, scenario)
+        assert answers[0::2] == [{"ok": True, "pong": True}] * 4
+        malformed, non_object, non_utf8 = answers[1::2]
+        assert not malformed["ok"] and "Expecting value" in malformed["error"]
+        assert non_object == {
+            "ok": False, "error": "request must be a JSON object"
+        }
+        assert not non_utf8["ok"] and "utf-8" in non_utf8["error"]
+
+    def test_deeply_nested_line_is_answered(self, classes, qos):
+        async def scenario(reader, writer):
+            writer.write(b"[" * 50_000 + b'\n{"op": "ping"}\n')
+            return [json.loads(line) for line in await _read_lines(reader, 2)]
+
+        nested, ping = self._serve(classes, qos, scenario)
+        assert not nested["ok"] and "recursion" in nested["error"]
+        assert ping == {"ok": True, "pong": True}
+
+    @pytest.mark.parametrize("split", [False, True])
+    def test_over_long_line_is_answered_and_skipped(
+        self, classes, qos, split
+    ):
+        # split=False: a 70 KB ping and its newline in one write.
+        # split=True: 200 KB with no newline first, so the server
+        # answers before the line ends and skips the rest of it.
+        pad = "x" * (70_000 if not split else 200_000)
+        long_line = json.dumps({"op": "ping", "pad": pad}).encode("utf-8")
+
+        async def scenario(reader, writer):
+            if split:
+                writer.write(long_line)
+                await writer.drain()
+                await asyncio.sleep(0.05)
+                writer.write(b'\n{"op": "ping"}\n')
+            else:
+                writer.write(long_line + b'\n{"op": "ping"}\n')
+            writer.write_eof()
+            return await reader.read()
+
+        error, ping, end = self._serve(classes, qos, scenario).split(b"\n")
+        error = json.loads(error)
+        assert not error["ok"] and str(MAX_LINE_BYTES) in error["error"]
+        assert json.loads(ping) == {"ok": True, "pong": True}
+        assert end == b""
+
+
+class _FixedDecisionFrontend:
+    """Answers every admit with one preset decision."""
+
+    def __init__(self, decision, shard):
+        self.decision = decision
+        self.shard = shard
+
+    def admit(self, link_id, class_name, connection_id, *, now=None):
+        return self.decision
+
+    def release(self, link_id, connection_id):
+        pass
+
+    def shard_of(self, link_id):
+        return self.shard
+
+
+REASONS = sorted(
+    value for name, value in vars(engine_module).items()
+    if name.startswith("REASON_")
+)
+
+
+class TestResponseTemplates:
+    """Admit/release answers equal json.dumps(sort_keys=True) bytes."""
+
+    @pytest.mark.parametrize(
+        "admitted,fallback,reason",
+        [
+            (True, False, "admitted"),
+            (False, False, "capacity"),
+            (False, False, "shed"),
+            (True, True, "admitted"),
+            (False, True, "capacity"),
+        ],
+    )
+    @pytest.mark.parametrize("shard", [0, 1])
+    def test_admit_answer_is_sorted_json(
+        self, admitted, fallback, reason, shard
+    ):
+        admit = _admit_line("link-0", "c0").encode("utf-8")
+        for admissible, occupancy in itertools.product(
+            (-1, 0, 27, 10**12), (0, 1, 10**12)
+        ):
+            decision = AdmissionDecision(
+                admitted=admitted,
+                link_id="link-0",
+                connection_id="c0",
+                policy="bahadur-rao",
+                reason=reason,
+                admissible=admissible,
+                occupancy=occupancy,
+                fallback=fallback,
+            )
+            server = FrontendServer(_FixedDecisionFrontend(decision, shard))
+            assert server._answer(admit) == _reference_answer(
+                decision, shard
+            )
+
+    def test_every_reason_is_covered(self):
+        # The cases above cover each reason the engine can report.
+        assert REASONS == ["admitted", "capacity", "shed"]
+
+    def test_release_answer_is_sorted_json(self):
+        server = FrontendServer(_FixedDecisionFrontend(None, 0))
+        line = b'{"op": "release", "link": "link-0", "conn": "c0"}'
+        assert server._answer(line) == (
+            json.dumps({"ok": True}, sort_keys=True) + "\n"
+        ).encode("utf-8")
+
+
+class TestServerStop:
+    def test_stop_closes_idle_connections(self, classes, qos):
+        async def scenario():
+            with _frontend(classes, qos) as frontend:
+                server = await FrontendServer(frontend).start()
+                reader, writer = await asyncio.open_connection(
+                    server.host, server.port
+                )
+                try:
+                    writer.write(b'{"op": "ping"}\n')
+                    assert json.loads(await reader.readline())["pong"]
+                    await asyncio.wait_for(server.stop(), 5)
+                    # stop() returns after the connection's handler.
+                    assert asyncio.all_tasks() == {asyncio.current_task()}
+                    return await asyncio.wait_for(reader.read(), 5)
+                finally:
+                    writer.close()
+
+        assert asyncio.run(scenario()) == b""
+
+    def test_stop_aborts_a_client_that_does_not_read(self, classes, qos):
+        # Each request's error answer echoes its 60 KB op, so 400 of
+        # them (24 MB) fill the socket buffers of a client that never
+        # reads; closing would wait for that client forever.
+        request = json.dumps({"op": "x" * 60_000}).encode("utf-8") + b"\n"
+
+        async def scenario():
+            with _frontend(classes, qos) as frontend:
+                server = await FrontendServer(frontend).start()
+                _, writer = await asyncio.open_connection(
+                    server.host, server.port
+                )
+                try:
+                    writer.write(request * 400)
+                    await asyncio.sleep(1.0)
+                    await asyncio.wait_for(server.stop(), 5)
+                finally:
+                    writer.transport.abort()
+
+        asyncio.run(scenario())
+
+    def test_connection_accepted_during_stop_is_not_served(
+        self, classes, qos
+    ):
+        # Stopping after 0-11 loop steps of a client's connect lands in
+        # each phase of the accept; where the handler task starts only
+        # after stop() began, it must close at once, not wait on the
+        # socket (Python 3.12.1's wait_closed would wait for it).
+        async def scenario():
+            left_running = []
+            with _frontend(classes, qos) as frontend:
+                for steps in range(12):
+                    server = await FrontendServer(frontend).start()
+                    connecting = asyncio.ensure_future(
+                        asyncio.open_connection(server.host, server.port)
+                    )
+                    for _ in range(steps):
+                        await asyncio.sleep(0)
+                    await asyncio.wait_for(server.stop(), 5)
+                    await asyncio.sleep(0.05)
+                    left_running.append(
+                        len(asyncio.all_tasks() - {asyncio.current_task()})
+                    )
+                    try:
+                        _, writer = await connecting
+                    except OSError:
+                        continue  # refused: the listener closed first
+                    writer.close()
+            return left_running
+
+        assert asyncio.run(scenario()) == [0] * 12
+
+    def test_cancelled_serve_forever_closes_connections(self, classes, qos):
+        # The runner serve path: Ctrl-C cancels serve_forever.
+        async def scenario():
+            with _frontend(classes, qos) as frontend:
+                server = await FrontendServer(frontend).start()
+                serving = asyncio.ensure_future(server.serve_forever())
+                reader, writer = await asyncio.open_connection(
+                    server.host, server.port
+                )
+                try:
+                    writer.write(b'{"op": "ping"}\n')
+                    assert json.loads(await reader.readline())["pong"]
+                    serving.cancel()
+                    await asyncio.wait_for(
+                        asyncio.gather(serving, return_exceptions=True), 5
+                    )
+                    return await asyncio.wait_for(reader.read(), 5)
+                finally:
+                    writer.close()
+
+        assert asyncio.run(scenario()) == b""
 
 
 class TestRepublish:

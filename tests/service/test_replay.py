@@ -126,7 +126,7 @@ class TestReplayLink:
             qos=qos,
             policy="bahadur-rao",
             rng=42,
-            table_path=path,
+            table_text=path.read_text(encoding="utf-8"),
         )
         # The warmed table makes even the first lookup a hit.
         assert stats.cache_misses == 0
