@@ -166,18 +166,17 @@ def _wire_stream():
         link = f"link-{index}"
         workload = generate_workload(spec, classes, generator)
         events, departures = [], []
-        for j in range(workload.n_requests + 1):
-            now = (
-                float(workload.arrival_times[j])
-                if j < workload.n_requests else float("inf")
-            )
+
+        def release_until(now):
             while departures and departures[0][0] <= now:
                 departed, conn = heapq.heappop(departures)
                 reference.release(link, conn)
                 request = {"op": "release", "link": link, "conn": conn}
                 events.append((departed, request, released))
-            if j == workload.n_requests:
-                break
+
+        for j in range(workload.n_requests):
+            now = float(workload.arrival_times[j])
+            release_until(now)
             conn = f"c{j}"
             decision = reference.admit(link, "dar1", conn)
             response = {
@@ -198,6 +197,7 @@ def _wire_stream():
                 heapq.heappush(
                     departures, (now + float(workload.holding_times[j]), conn)
                 )
+        release_until(float("inf"))
         per_link.append(events)
     requests, expected = [], []
     for _, request, response in heapq.merge(

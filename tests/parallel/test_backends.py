@@ -6,6 +6,7 @@ import time
 import weakref
 from concurrent.futures import CancelledError
 from concurrent.futures.process import BrokenProcessPool
+from multiprocessing.connection import wait
 
 import numpy as np
 import pytest
@@ -276,8 +277,11 @@ class TestWarmPoolBackend:
             backends._shutdown_live_pools()
             assert backend._executor is None
             for process in processes:
-                process.join(timeout=30)
-                assert not process.is_alive()
+                # Wait on the sentinel, which closes when the worker
+                # exits: the pool's management thread joins the same
+                # process, and a join that loses that race finds the
+                # child already reaped and reports it alive.
+                assert wait([process.sentinel], timeout=30)
         finally:
             backend.shutdown()
 
