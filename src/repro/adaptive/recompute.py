@@ -389,7 +389,6 @@ def adaptive_replay_link(
     switch_points = plan.switch_points(n)
     last_switch = switch_points[-1] if switch_points else 0
 
-    dropped = 0
     generation = 0
     swaps = 0
     swap_request_index = -1
@@ -494,7 +493,7 @@ def adaptive_replay_link(
         blocked=lane.blocked,
         peak_occupancy=lane.peak_occupancy,
         boundary_violations=lane.boundary_violations,
-        dropped=dropped,
+        dropped=n - (lane.admitted + lane.blocked + lane.shed),
         carried_load_seconds=lane.carried_load_seconds,
         elapsed_seconds=workload.horizon_seconds,
         cache_hits=tables.hits,

@@ -41,10 +41,9 @@ are documented in :mod:`repro.service.cli` and ``docs/SERVICE.md``.
 
 The ``obs`` verb hosts the observability toolbox
 (:mod:`repro.obs.cli`): ``obs report`` merges telemetry JSONL dumps,
-``obs sweep`` runs the drive sweep one rho point at a time and prints
-its latency-vs-rho table, ``obs slo`` judges exported metrics against
-declarative SLO targets, and ``obs compare`` is the benchmark
-perf-regression gate (see ``docs/OBSERVABILITY.md``).
+``obs slo`` judges exported metrics against declarative SLO targets,
+and ``obs compare`` is the benchmark perf-regression gate (see
+``docs/OBSERVABILITY.md``).
 
 The ``adapt`` verb (:mod:`repro.adaptive.cli`) replays a
 nonstationary workload with drift detection and hot-swapped decision
@@ -54,7 +53,8 @@ The ``serve`` and ``drive`` verbs host the sharded admission frontend
 (:mod:`repro.service.frontend_cli`): ``serve`` answers admit/release
 requests over newline-delimited JSON, ``drive`` sweeps an open-loop
 rho-driven workload against the same sharded data plane and prints
-the p50/p99/p999 latency-vs-rho table (see ``docs/SERVICE.md``).
+the p50/p99/p999 latency-vs-rho table, aggregate and per link (see
+``docs/SERVICE.md``).
 The service verbs declare the flags they have in common once, in
 :mod:`repro.service.cli`.
 """

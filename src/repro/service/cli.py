@@ -27,11 +27,11 @@ addresses to prove it.  ``--max-queue``/``--decision-rate`` bound the
 admission path under overload (deterministic shedding plus a circuit
 breaker falling back to the conservative peak-rate policy).
 
-The flags ``workload``, ``serve``/``drive``, ``adapt`` and ``obs sweep``
-share are declared once, by the ``add_*`` helpers below (each verb
-passes its own defaults), and what they configure is built once, by
-the functions after them; a ReproError they raise becomes a usage
-error (exit 2) under :func:`usage_errors`.
+The flags ``workload``, ``serve``/``drive`` and ``adapt`` share are
+declared once, by the ``add_*`` helpers below (each verb passes its
+own defaults), and what they configure is built once, by the
+functions after them; a ReproError they raise becomes a usage error
+(exit 2) under :func:`usage_errors`.
 """
 
 from __future__ import annotations
@@ -106,10 +106,7 @@ CLASS_PRESETS = {
 
 
 def build_class(spec: str) -> ConnectionClass:
-    """Parse one ``--class name[:weight]`` preset occurrence.
-
-    Shared with the ``obs sweep`` verb, which offers the same presets.
-    """
+    """Parse one ``--class name[:weight]`` preset occurrence."""
     name, _, weight_text = spec.partition(":")
     if name not in CLASS_PRESETS:
         raise argparse.ArgumentTypeError(

@@ -38,8 +38,8 @@ Execution is the frontend's sharded data plane, open-loop:
   :class:`~repro.obs.sketch.QuantileSketch` (aggregate and per link),
   flushed once per shard from the links' recorders and merged across
   shards in shard-index order; each sweep point reports p50/p99/p999
-  of the window its own requests added, leaving the caller's
-  telemetry in place.
+  of the window its own requests added, aggregate and per link,
+  leaving the caller's telemetry in place.
 
 ``runner drive`` is the CLI (:mod:`repro.service.frontend_cli`); CI's
 ``frontend-smoke`` job drives 100k requests across 4 links and gates
@@ -85,7 +85,7 @@ __all__ = [
     "drive",
 ]
 
-#: The quantiles every sweep point reports (matches ``obs sweep``).
+#: The quantiles every sweep point reports, aggregate and per link.
 DRIVE_QUANTILES = (0.5, 0.99, 0.999)
 
 
@@ -152,6 +152,9 @@ class DrivePoint:
     decisions_per_second: float
     #: p50/p99/p999 admit latency in ns (None when unmeasured).
     admit_latency_ns: Dict[str, Optional[float]]
+    #: The same quantiles per link, keyed by link id in link-index
+    #: order.
+    link_admit_latency_ns: Dict[str, Dict[str, Optional[float]]]
     shards: Tuple[ShardDriveStats, ...]
 
     @property
@@ -179,6 +182,10 @@ class DrivePoint:
             "wall_seconds": self.wall_seconds,
             "decisions_per_second": self.decisions_per_second,
             "admit_latency_ns": dict(self.admit_latency_ns),
+            "link_admit_latency_ns": {
+                link_id: dict(q)
+                for link_id, q in self.link_admit_latency_ns.items()
+            },
         }
 
 
@@ -207,7 +214,7 @@ class DriveReport:
         return sum(p.boundary_violations for p in self.points)
 
     def to_dict(self) -> dict:
-        """The ``obs sweep``-compatible latency-vs-rho report."""
+        """The machine-readable latency-vs-rho report."""
         return {
             "kind": "latency_vs_rho",
             "source": "frontend_drive",
@@ -363,26 +370,28 @@ def _empty_shard_stats(shard_index: int) -> ShardDriveStats:
     )
 
 
-def _latency_snapshot() -> Optional[dict]:
-    """The aggregate admit-latency sketch as it stands (None if absent)."""
-    for data in _metrics.snapshot():
-        if data["type"] == "sketch" and data["name"] == AGGREGATE_LATENCY:
-            return data
-    return None
+def _latency_snapshot() -> Dict[str, dict]:
+    """Every admit-latency sketch as it stands, aggregate and per link."""
+    return {
+        data["name"]: data
+        for data in _metrics.snapshot()
+        if data["type"] == "sketch"
+        and data["name"].startswith(AGGREGATE_LATENCY)
+    }
 
 
 def _window_quantiles(
-    start: Optional[dict], end: Optional[dict]
+    start: Dict[str, dict], end: Dict[str, dict], name: str
 ) -> Dict[str, Optional[float]]:
-    """Quantiles of the latencies recorded between two snapshots.
+    """Quantiles of sketch ``name``'s latencies between two snapshots.
 
     The registry is cumulative (the caller's own telemetry stays put),
     so one sweep point is the window between the snapshots taken
     around it.
     """
-    if end is None:
+    if name not in end:
         return {f"p{q}": None for q in DRIVE_QUANTILES}
-    sketch = QuantileSketch.window(start, end)
+    sketch = QuantileSketch.window(start.get(name), end[name])
     if not sketch.count:
         return {f"p{q}": None for q in DRIVE_QUANTILES}
     return {f"p{q}": sketch.quantile(q) for q in DRIVE_QUANTILES}
@@ -545,9 +554,18 @@ def drive(
                     by_shard[i] if i in by_shard else _empty_shard_stats(i)
                     for i in range(n_shards)
                 )
+                latency_after = _latency_snapshot()
                 admit_latency_ns = _window_quantiles(
-                    latency_before, _latency_snapshot()
+                    latency_before, latency_after, AGGREGATE_LATENCY
                 )
+                link_admit_latency_ns = {
+                    link_id: _window_quantiles(
+                        latency_before,
+                        latency_after,
+                        f"{AGGREGATE_LATENCY}.{link_id}",
+                    )
+                    for link_id in link_ids
+                }
                 n_requests = sum(s.n_requests for s in shards)
                 points.append(
                     DrivePoint(
@@ -572,6 +590,7 @@ def drive(
                             else 0.0
                         ),
                         admit_latency_ns=admit_latency_ns,
+                        link_admit_latency_ns=link_admit_latency_ns,
                         shards=shards,
                     )
                 )

@@ -15,15 +15,17 @@ runs the open-loop rho-driven load generator
 prints the latency-vs-rho table: for each rho the arrival rate is
 ``rho x admissible N / mean holding``, and the row reports
 p50/p99/p999 admit latency from the merged
-``service.admit_latency_ns`` sketches plus aggregate decisions/s.
+``service.admit_latency_ns`` sketches plus aggregate decisions/s,
+with one row per link under it when there are several links.
 
 ``--max-queue``/``--decision-rate`` arm the PR-7 overload policy —
 drive rho past 1 and the shed/breaker counters follow the documented
 backpressure contract (``docs/ROBUSTNESS.md``) byte-for-byte.
 ``--report-out`` writes the machine-readable report
-(``kind: latency_vs_rho``, the shape of the ``obs sweep --out`` report);
-``--timings`` appends a schema-2 row to ``timings.jsonl`` so the
-sweep's throughput rides the existing ``obs compare`` perf gate.
+(``kind: latency_vs_rho``, per-link quantiles under
+``link_admit_latency_ns``); ``--timings`` appends a schema-2 row to
+``timings.jsonl`` so the sweep's throughput rides the existing
+``obs compare`` perf gate.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import List, Optional
 
 from repro.exceptions import ParameterError
 from repro.service import cli as service_cli
-from repro.service.drive import DriveReport, drive
+from repro.service.drive import DRIVE_QUANTILES, DriveReport, drive
 from repro.service.frontend import AdmissionFrontend, FrontendServer
 
 __all__ = ["build_parser", "format_drive_report", "main"]
@@ -119,8 +121,12 @@ def _fmt_ns(value: Optional[float]) -> str:
     return f"{value:.0f}ns"
 
 
+def _fmt_quantiles(q: dict) -> str:
+    return " ".join(f"{_fmt_ns(q[f'p{x}']):>9}" for x in DRIVE_QUANTILES)
+
+
 def format_drive_report(report: DriveReport) -> str:
-    """The human latency-vs-rho table."""
+    """The human latency-vs-rho table, per-link rows under each rho."""
     lines = [
         f"frontend drive: policy={report.policy} links={report.n_links} "
         f"shards={report.n_shards} jobs={report.jobs} "
@@ -131,15 +137,19 @@ def format_drive_report(report: DriveReport) -> str:
         f"{'decisions/s':>12}",
     ]
     for point in report.points:
-        q = point.admit_latency_ns
         lines.append(
             f"{point.rho:>6.3f} {point.offered_erlangs:>9.1f} "
             f"{point.n_requests:>9d} {point.admitted:>8d} "
             f"{point.blocked:>7d} {point.shed:>7d} "
-            f"{_fmt_ns(q.get('p0.5')):>9} {_fmt_ns(q.get('p0.99')):>9} "
-            f"{_fmt_ns(q.get('p0.999')):>9} "
+            f"{_fmt_quantiles(point.admit_latency_ns)} "
             f"{point.decisions_per_second:>12,.0f}"
         )
+        if report.n_links > 1:
+            for link_id, q in point.link_admit_latency_ns.items():
+                lines.append(
+                    f"{'':>6} {link_id:>9} {'':>9} {'':>8} {'':>7} {'':>7} "
+                    f"{_fmt_quantiles(q)}"
+                )
     lines.append(
         f"boundary violations: {report.boundary_violations} "
         f"(must be 0)"

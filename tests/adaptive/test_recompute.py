@@ -253,3 +253,28 @@ class TestSingleLinkReplay:
         assert stats.generation == 0
         assert stats.drift_detections == 0
         assert stats.pre_switch_clr == stats.post_switch_clr
+
+    def test_dropped_counts_requests_without_a_decision(self, monkeypatch):
+        from repro.service.kernel import LinkLane
+
+        step = LinkLane.step
+
+        def skip_request_7(lane, i, force_fallback=False):
+            if i != 7:
+                return step(lane, i, force_fallback)
+
+        monkeypatch.setattr(LinkLane, "step", skip_request_7)
+        stats = adaptive_replay_link(
+            WorkloadSpec(
+                n_requests=200, arrival_rate=1.0, mean_holding_time=30.0
+            ),
+            (CONFERENCE,),
+            parse_regime_plan("conference@0"),
+            (CONFERENCE, VIDEO),
+            capacity=CAPACITY,
+            qos=QOS,
+            policy="bahadur-rao",
+            rng=np.random.default_rng(4),
+        )
+        assert stats.dropped == 1
+        assert stats.admitted + stats.blocked == stats.n_requests - 1

@@ -1,9 +1,8 @@
-"""Tests for the ``obs`` CLI verb: report, sweep, compare, slo."""
+"""Tests for the ``obs`` CLI verb: report, compare, slo."""
 
 from __future__ import annotations
 
 import json
-import re
 from pathlib import Path
 
 import pytest
@@ -256,127 +255,6 @@ class TestSlo:
             == 1
         )
         assert "window burn rate" in capsys.readouterr().out
-
-
-class TestSweep:
-    @pytest.mark.slow
-    def test_sweep_three_rho_points(self, tmp_path, capsys):
-        out_file = tmp_path / "sweep.json"
-        code = obs_main(
-            [
-                "sweep",
-                "--class",
-                "dar1",
-                "--requests",
-                "400",
-                "--rho",
-                "0.6",
-                "--rho",
-                "0.9",
-                "--rho",
-                "1.1",
-                "--out",
-                str(out_file),
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "latency-vs-rho sweep" in out
-        report = json.loads(out_file.read_text())
-        assert report["kind"] == "latency_vs_rho"
-        assert [row["rho"] for row in report["rows"]] == [0.6, 0.9, 1.1]
-        for row in report["rows"]:
-            assert row["n_requests"] == 400
-            for key in ("p0.5", "p0.99", "p0.999"):
-                assert row["admit_latency_ns"][key] > 0.0
-        # Higher utilization must not lower the blocking probability.
-        blocking = [row["blocking_probability"] for row in report["rows"]]
-        assert blocking == sorted(blocking)
-        assert blocking[-1] > 0.0
-
-    def test_sweep_prints_links_in_link_order(self, capsys):
-        # From 11 links up, string order would put link-10 before
-        # link-2; the rows must follow the link index.
-        code = obs_main(
-            [
-                "sweep",
-                "--class",
-                "dar1",
-                "--links",
-                "11",
-                "--requests",
-                "50",
-                "--rho",
-                "0.9",
-            ]
-        )
-        assert code == 0
-        printed = re.findall(r"\blink-\d+\b", capsys.readouterr().out)
-        assert printed == [f"link-{i}" for i in range(11)]
-
-    def test_sweep_defaults(self):
-        from repro.obs.cli import build_parser
-
-        assert vars(build_parser().parse_args(["sweep"])) == {
-            "capacity_mbps": 155.52,
-            "classes": None,
-            "clr": 1e-06,
-            "command": "sweep",
-            "delay_ms": 20.0,
-            "holding_mean": 90.0,
-            "jobs": 1,
-            "links": 1,
-            "out": None,
-            "policy": "bahadur-rao",
-            "requests": 20_000,
-            "rho": None,
-            "seed": 20260806,
-        }
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["--rho", "-0.5"],
-            ["--class", "nope"],
-            ["--policy", "erlang-b"],
-            ["--jobs", "0"],
-        ],
-    )
-    def test_sweep_rejects_bad_grid(self, argv, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            obs_main(["sweep", *argv])
-        assert excinfo.value.code == 2
-        # Refused before the table header, and before any replay work.
-        assert capsys.readouterr().out == ""
-
-    def test_sweep_rows_match_drive(self, tmp_path, capsys):
-        from repro.experiments.runner import main as runner_main
-
-        shared = [
-            "--links", "2",
-            "--requests", "400",
-            "--class", "dar1",
-            "--rho", "0.6",
-            "--rho", "1.1",
-            "--seed", "99",
-        ]
-        sweep_path = tmp_path / "sweep.json"
-        drive_path = tmp_path / "drive.json"
-        assert obs_main(["sweep", *shared, "--out", str(sweep_path)]) == 0
-        assert (
-            runner_main(["drive", *shared, "--report-out", str(drive_path)])
-            == 0
-        )
-        keys = ("rho", "offered_erlangs", "n_requests", "blocking_probability")
-        sweep_rows = json.loads(sweep_path.read_text())["rows"]
-        drive_rows = json.loads(drive_path.read_text())["rows"]
-        assert [[row[k] for k in keys] for row in sweep_rows] == [
-            [row[k] for k in keys] for row in drive_rows
-        ]
-        for row in sweep_rows:
-            assert sorted(row["links"]) == ["link-0", "link-1"]
-            for quantiles in row["links"].values():
-                assert all(v > 0.0 for v in quantiles.values())
 
 
 class TestRunnerDelegation:

@@ -196,13 +196,13 @@ class TestDriveSerial:
             assert point.offered_erlangs == pytest.approx(
                 point.rho * report.admissible
             )
-            assert set(point.admit_latency_ns) == {
-                f"p{q}" for q in DRIVE_QUANTILES
-            }
-            assert all(
-                v is not None and v > 0
-                for v in point.admit_latency_ns.values()
-            )
+            assert list(point.link_admit_latency_ns) == ["link-0", "link-1"]
+            for quantiles in (
+                point.admit_latency_ns,
+                *point.link_admit_latency_ns.values(),
+            ):
+                assert set(quantiles) == {f"p{q}" for q in DRIVE_QUANTILES}
+                assert all(v is not None and v > 0 for v in quantiles.values())
             assert point.decisions_per_second > 0
         # Heavier rho cannot block less on the same boundary.
         assert (
@@ -250,10 +250,18 @@ class TestDriveParallel:
         assert [_point_counters(p) for p in serial.points] == [
             _point_counters(p) for p in pooled.points
         ]
-        # Latency is wall-clock and differs; the quantile keys do not.
+        # Latency is wall-clock and differs; the quantile keys do not,
+        # and every link's sketch comes back from its worker.
         assert set(pooled.points[0].admit_latency_ns) == {
             f"p{q}" for q in DRIVE_QUANTILES
         }
+        links = pooled.points[0].link_admit_latency_ns
+        assert list(links) == ["link-0", "link-1", "link-2"]
+        assert all(
+            v is not None and v > 0
+            for quantiles in links.values()
+            for v in quantiles.values()
+        )
 
     def test_process_pool_with_unowned_shards(self, classes, qos):
         # Two links on four shards leave at least two shards without
@@ -390,10 +398,11 @@ class TestDriveTelemetry:
         # Every point's spans survive, not just the last point's.
         assert names.count("service.frontend.drive") == len(report.points)
         for point in report.points:
-            assert all(
-                v is not None and v > 0
-                for v in point.admit_latency_ns.values()
-            )
+            for quantiles in (
+                point.admit_latency_ns,
+                *point.link_admit_latency_ns.values(),
+            ):
+                assert all(v is not None and v > 0 for v in quantiles.values())
 
 
 class TestDriveRegimePlan:

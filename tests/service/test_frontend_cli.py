@@ -1,6 +1,7 @@
 """Tests for the ``serve`` / ``drive`` CLI verbs and runner delegation."""
 
 import json
+import re
 
 import pytest
 
@@ -87,12 +88,16 @@ class TestParser:
             ["serve", "--max-queue", "-1"],
             ["serve", "--port", "70000"],
             ["drive", "--regime-plan", "dar1@0,nosuch@100"],
+            ["drive", "--class", "nope"],
+            ["drive", "--jobs", "0"],
         ],
     )
-    def test_invalid_arguments_exit(self, argv):
+    def test_invalid_arguments_exit(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
+        # Refused before the table header, and before any drive work.
+        assert capsys.readouterr().out == ""
 
 
 class TestDriveVerb:
@@ -102,6 +107,15 @@ class TestDriveVerb:
         assert "rho" in out
         assert "p99" in out
         assert "boundary violations: 0" in out
+
+    def test_prints_links_in_link_order(self, capsys):
+        # From 11 links up, string order would put link-10 before
+        # link-2; the per-link rows must follow the link index.
+        argv = ["drive", "--links", "11", "--requests", "50",
+                "--rho", "0.9", "--class", "dar1"]
+        assert main(argv) == 0
+        printed = re.findall(r"\blink-\d+\b", capsys.readouterr().out)
+        assert printed == [f"link-{i}" for i in range(11)]
 
     def test_json_report(self, capsys):
         assert main(SMALL + ["--json"]) == 0
@@ -138,6 +152,21 @@ class TestDriveVerb:
         assert row["requests"] == 400
         assert row["requests_per_s"] > 0
 
+    def test_report_out_has_per_link_latency(self, tmp_path, capsys):
+        report_path = tmp_path / "latency_vs_rho.json"
+        assert (
+            main(SMALL + ["--rho", "1.1", "--report-out", str(report_path)])
+            == 0
+        )
+        rows = json.loads(report_path.read_text())["rows"]
+        assert [row["rho"] for row in rows] == [0.9, 1.1]
+        for row in rows:
+            links = row["link_admit_latency_ns"]
+            assert sorted(links) == ["link-0", "link-1"]
+            for quantiles in links.values():
+                assert sorted(quantiles) == ["p0.5", "p0.99", "p0.999"]
+                assert all(v > 0.0 for v in quantiles.values())
+
     def test_same_seed_same_report_bytes(self, tmp_path, capsys):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for path in paths:
@@ -147,8 +176,8 @@ class TestDriveVerb:
         # Latency quantiles and wall-clock are measured, not derived;
         # everything decision-valued must be bit-identical.
         for row_a, row_b in zip(a.pop("rows"), b.pop("rows")):
-            for key in ("admit_latency_ns", "wall_seconds",
-                        "decisions_per_second"):
+            for key in ("admit_latency_ns", "link_admit_latency_ns",
+                        "wall_seconds", "decisions_per_second"):
                 row_a.pop(key)
                 row_b.pop(key)
             assert row_a == row_b
