@@ -88,8 +88,7 @@ def test_adaptive_swap(benchmark):
         DECLARED, ESTIMATED, CAPACITY, QOS, ("bahadur-rao",)
     )
     tables = DecisionTableCache(persist=False)
-    engine = AdmissionEngine(policy="bahadur-rao", tables=tables)
-    engine.add_link("link-0", CAPACITY, QOS)
+    engine = AdmissionEngine("link-0", CAPACITY, QOS, tables=tables)
 
     def swap():
         tables.load_text(text)

@@ -363,14 +363,15 @@ def adaptive_replay_link(
         raise ParameterError("adaptive replay needs a declared class mix")
 
     tables = DecisionTableCache(persist=False)
-    engine = AdmissionEngine(policy=policy, tables=tables)
     link_id = f"link-{link_index}"
-    link = engine.add_link(link_id, capacity, qos)
+    engine = AdmissionEngine(
+        link_id, capacity, qos, policy=policy, tables=tables
+    )
     realization = generate_nonstationary_workload(
         spec, declared, plan, candidates, rng
     )
     workload = realization.workload
-    lane = LinkLane(engine, link_id, workload, [c.model for c in declared])
+    lane = LinkLane(engine, workload, [c.model for c in declared])
     observations = realization.observations.tolist()
     true_indices = realization.true_indices.tolist()
 
@@ -459,7 +460,7 @@ def adaptive_replay_link(
                         pending_swap = (i + 1 + recompute_lag, estimated)
 
             true_index = true_indices[i]
-            occupancy = link.occupancy
+            occupancy = engine.occupancy
             memo_key = (true_index, occupancy)
             clr = clr_memo.get(memo_key)
             if clr is None:
@@ -489,11 +490,11 @@ def adaptive_replay_link(
     return AdaptiveLinkStats(
         link_index=link_index,
         n_requests=n,
-        admitted=lane.admitted,
-        blocked=lane.blocked,
-        peak_occupancy=lane.peak_occupancy,
+        admitted=engine.admitted,
+        blocked=engine.blocked,
+        peak_occupancy=engine.peak_occupancy,
         boundary_violations=lane.boundary_violations,
-        dropped=n - (lane.admitted + lane.blocked + lane.shed),
+        dropped=n - (engine.admitted + engine.blocked + engine.shed),
         carried_load_seconds=lane.carried_load_seconds,
         elapsed_seconds=workload.horizon_seconds,
         cache_hits=tables.hits,

@@ -10,9 +10,10 @@ that the served boundary matches the offline one.
   policy), then O(1) LRU lookups, with optional JSONL persistence;
   shards load their private caches from the JSONL text their payloads
   carry (``load_table``);
-* :mod:`repro.service.engine`   — :class:`AdmissionEngine`: per-link
-  admitted-mix state with ``admit()``/``release()`` for homogeneous
-  (count) and heterogeneous (effective-bandwidth) policies;
+* :mod:`repro.service.engine`   — :class:`AdmissionEngine`: one
+  link's admitted mix, decision counts and overload state, with
+  ``admit()``/``release()`` for homogeneous (count) and
+  heterogeneous (effective-bandwidth) policies;
 * :mod:`repro.service.workload` — reproducible Poisson connection
   workloads with exponential or heavy-tailed holding times;
 * :mod:`repro.service.kernel`   — :class:`LinkLane`: one link's replay
@@ -59,7 +60,7 @@ from repro.service.drive import (
     derive_arrival_rate,
     drive,
 )
-from repro.service.engine import AdmissionDecision, AdmissionEngine, LinkState
+from repro.service.engine import AdmissionDecision, AdmissionEngine
 from repro.service.frontend import (
     AdmissionFrontend,
     ConsistentHashRing,
@@ -138,7 +139,6 @@ __all__ = [
     "JournalRecovery",
     "LinkJournal",
     "LinkLane",
-    "LinkState",
     "LinkStats",
     "OverloadPolicy",
     "OverloadState",

@@ -295,10 +295,14 @@ class _ShardDriveTask:
         lanes: List[LinkLane] = []
         for link_id, workload in zip(self.link_ids, workloads):
             engine = AdmissionEngine(
-                policy=self.policy, tables=tables, overload=self.overload
+                link_id,
+                self.capacity,
+                self.qos,
+                policy=self.policy,
+                tables=tables,
+                overload=self.overload,
             )
-            engine.add_link(link_id, self.capacity, self.qos)
-            lanes.append(LinkLane(engine, link_id, workload, models))
+            lanes.append(LinkLane(engine, workload, models))
 
         # Merge the shard's links into one time-ordered open-loop stream.
         # Stable ordering keeps ties deterministic (and per-link order
@@ -340,16 +344,17 @@ class _ShardDriveTask:
             _metrics.add("service.frontend.requests", n_requests)
             _metrics.add("service.boundary_violations", boundary_violations)
 
+        engines = [lane.engine for lane in lanes]
         return ShardDriveStats(
             shard_index=self.shard_index,
             n_links=len(lanes),
             n_requests=n_requests,
-            admitted=sum(lane.admitted for lane in lanes),
-            blocked=sum(lane.blocked for lane in lanes),
-            shed=sum(lane.shed for lane in lanes),
-            fallbacks=sum(lane.fallbacks for lane in lanes),
+            admitted=sum(engine.admitted for engine in engines),
+            blocked=sum(engine.blocked for engine in engines),
+            shed=sum(engine.shed for engine in engines),
+            fallbacks=sum(engine.fallbacks for engine in engines),
             boundary_violations=boundary_violations,
-            peak_occupancy=max(lane.peak_occupancy for lane in lanes),
+            peak_occupancy=max(engine.peak_occupancy for engine in engines),
             elapsed_seconds=elapsed,
         )
 

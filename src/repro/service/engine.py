@@ -1,11 +1,13 @@
 """The event-driven admission-control engine.
 
 An :class:`AdmissionEngine` is the operational form of the paper's
-motivating application: it holds the admitted-connection mix of one or
-more links and answers ``admit()`` / ``release()`` queries online,
-delegating every capacity question to a
+motivating application: it holds the admitted-connection mix of one
+link — N sources on a link of capacity C under a QoS target — and
+answers ``admit()`` / ``release()`` queries online, delegating every
+capacity question to a
 :class:`~repro.service.tables.DecisionTableCache` so the per-request
-cost is a cache probe, not a Bahadur-Rao inversion.
+cost is a cache probe, not a Bahadur-Rao inversion.  A service with
+many links builds one engine per link.
 
 Two admission disciplines:
 
@@ -27,7 +29,7 @@ Telemetry (when :mod:`repro.obs` is enabled): ``service.admitted`` /
 ``service.admit_latency_ns`` quantile sketch (aggregate and per
 link), a per-link ``service.occupancy.<link>`` sketch, plus the table
 cache's ``service.table_hits`` / ``service.table_misses``.  Every
-admit is timed, but the request path only updates the link's
+admit is timed, but the request path only updates the engine's
 :class:`~repro.service.telemetry.LinkRecorder` (plain counters, an
 occupancy map, a bounded latency buffer); :meth:`AdmissionEngine
 .flush_telemetry` publishes it to the registry in bulk, with the
@@ -38,7 +40,7 @@ pays one flag read per admit and per release.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.atm.cac import PEAK_SIGMA
@@ -58,13 +60,17 @@ from repro.service.tables import (
 )
 from repro.utils.validation import check_positive
 
-__all__ = ["AdmissionDecision", "AdmissionEngine", "LinkState"]
+__all__ = ["AdmissionDecision", "AdmissionEngine"]
 
 #: Blocked/admitted reasons reported on every decision.
 REASON_ADMITTED = "admitted"
 REASON_CAPACITY = "capacity"
 #: The request was load-shed before any capacity question was asked.
 REASON_SHED = "shed"
+#: The decision counts an engine keeps (and its snapshot carries).
+_COUNTS = (
+    "admitted", "blocked", "shed", "fallbacks", "released", "peak_occupancy"
+)
 
 
 @dataclass(frozen=True)
@@ -98,36 +104,22 @@ class _Connection:
     effective_bandwidth: Optional[float]
 
 
-@dataclass
-class LinkState:
-    """Mutable admitted-mix state of one link."""
-
-    link_id: str
-    capacity: float
-    qos: QoSRequirement
-    connections: Dict[str, _Connection] = field(default_factory=dict)
-    class_counts: Dict[str, int] = field(default_factory=dict)
-    #: Sum of admitted effective bandwidths (effective-bandwidth policy).
-    admitted_bandwidth: float = 0.0
-    #: Sum of admitted mean rates (cells/frame) — the carried load.
-    admitted_mean_load: float = 0.0
-    #: Unflushed telemetry of this link (see :mod:`repro.service.telemetry`).
-    recorder: LinkRecorder = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.recorder = LinkRecorder(self.link_id)
-
-    @property
-    def occupancy(self) -> int:
-        """Number of currently admitted connections."""
-        return len(self.connections)
-
-
 class AdmissionEngine:
-    """Per-link admission control served from cached decision tables.
+    """One link's admission control, served from cached decision tables.
+
+    The engine *is* the link: it owns the link's admitted mix, the
+    running accumulators, the overload state, the decision counts and
+    the telemetry recorder.  A service with many links builds one
+    engine per link (engines may share one table cache).
 
     Parameters
     ----------
+    link_id:
+        The link's name, reported on every decision and in telemetry.
+    capacity:
+        Link capacity in cells/frame.
+    qos:
+        The link's QoS contract (default :class:`QoSRequirement`).
     policy:
         One of :data:`~repro.service.tables.SERVICE_METHODS`.
     tables:
@@ -141,12 +133,20 @@ class AdmissionEngine:
         failures trip a circuit breaker that serves the conservative
         fallback policy instead of taking the shard down.  Without it
         the engine keeps its legacy fail-fast semantics.
+
+    The decision counts (:attr:`admitted`, :attr:`blocked`,
+    :attr:`shed`, :attr:`fallbacks`, :attr:`released`) and
+    :attr:`peak_occupancy` count every decision, telemetry on or off.
+    A fallback decision is also counted as admitted or blocked.
     """
 
     def __init__(
         self,
-        policy: str = "bahadur-rao",
+        link_id: str,
+        capacity: float,
+        qos: Optional[QoSRequirement] = None,
         *,
+        policy: str = "bahadur-rao",
         tables: Optional[DecisionTableCache] = None,
         overload: Optional[OverloadPolicy] = None,
     ):
@@ -155,18 +155,35 @@ class AdmissionEngine:
                 f"unknown admission policy {policy!r}; choose from "
                 f"{', '.join(SERVICE_METHODS)}"
             )
+        check_positive(capacity, "capacity")
+        self.link_id = link_id
+        self.capacity = float(capacity)
+        self.qos = qos if qos is not None else QoSRequirement()
         self.policy = policy
         self.tables = tables if tables is not None else DecisionTableCache()
         self.overload = (
             OverloadState(overload) if overload is not None else None
         )
-        self._links: Dict[str, LinkState] = {}
+        self.connections: Dict[str, _Connection] = {}
+        self.class_counts: Dict[str, int] = {}
+        #: Sum of admitted effective bandwidths (effective-bandwidth policy).
+        self.admitted_bandwidth = 0.0
+        #: Sum of admitted mean rates (cells/frame) — the carried load.
+        self.admitted_mean_load = 0.0
+        self.admitted = 0
+        self.blocked = 0
+        self.shed = 0
+        self.fallbacks = 0
+        self.released = 0
+        self.peak_occupancy = 0
+        #: Unflushed telemetry (see :mod:`repro.service.telemetry`).
+        self.recorder = LinkRecorder(link_id)
         # Admission hot-path caches.  Serializing a decision key (model
         # fingerprint + QoS/capacity float hexes) per request dominates
         # the admit cost once the table itself is warm, and the key for
-        # a (model, link, method) never changes while the link exists —
-        # so it is built once per link, not once per request.  Models
-        # are kept strongly referenced so the ``id()`` keys stay valid.
+        # a (model, method) never changes while the engine exists —
+        # so it is built once, not once per request.  Models are kept
+        # strongly referenced so the ``id()`` keys stay valid.
         self._decision_keys: Dict[tuple, str] = {}
         self._fingerprints: Dict[int, str] = {}
         # ``float(model.mean)`` is not free either (a superposed model
@@ -174,49 +191,23 @@ class AdmissionEngine:
         self._means: Dict[int, float] = {}
         self._key_refs: Dict[int, TrafficModel] = {}
 
-    # -- topology ------------------------------------------------------------
-
-    def add_link(
-        self,
-        link_id: str,
-        capacity: float,
-        qos: Optional[QoSRequirement] = None,
-    ) -> LinkState:
-        """Register a link (capacity in cells/frame) and return its state."""
-        check_positive(capacity, "capacity")
-        if link_id in self._links:
-            raise ParameterError(f"link {link_id!r} already registered")
-        state = LinkState(
-            link_id=link_id,
-            capacity=float(capacity),
-            qos=qos if qos is not None else QoSRequirement(),
-        )
-        self._links[link_id] = state
-        return state
-
-    def link(self, link_id: str) -> LinkState:
-        try:
-            return self._links[link_id]
-        except KeyError:
-            raise ParameterError(
-                f"unknown link {link_id!r}; registered: "
-                f"{sorted(self._links)}"
-            ) from None
+    @property
+    def occupancy(self) -> int:
+        """Number of currently admitted connections."""
+        return len(self.connections)
 
     @property
-    def links(self) -> Dict[str, LinkState]:
-        """Read-only view of registered links (do not mutate)."""
-        return dict(self._links)
+    def utilization(self) -> float:
+        """Carried mean load as a fraction of the link capacity."""
+        return self.admitted_mean_load / self.capacity
 
     # -- hot-path caches -----------------------------------------------------
 
-    def _decision_key(
-        self, model: TrafficModel, link: LinkState, method: str
-    ) -> str:
-        cache_key = (id(model), link.link_id, method)
+    def _decision_key(self, model: TrafficModel, method: str) -> str:
+        cache_key = (id(model), method)
         key = self._decision_keys.get(cache_key)
         if key is None:
-            key = decision_key(model, link.capacity, link.qos, method)
+            key = decision_key(model, self.capacity, self.qos, method)
             self._decision_keys[cache_key] = key
             self._key_refs[id(model)] = model
         return key
@@ -243,13 +234,13 @@ class AdmissionEngine:
         The hot-path caches are keyed by ``id(model)`` and pinned by
         strong references, which is sound only while the engine's
         world stays put.  Journal recovery breaks that premise: it
-        swaps link state and table entries wholesale, and the model
-        objects a recovered attempt admits against are *new* Python
-        objects — if a stale cache entry survived recovery and a new
-        model landed on a recycled ``id()``, the engine would serve
-        decisions against the dead model's fingerprint.  Recovery
-        (:meth:`restore_link_state`) therefore invalidates the caches;
-        the next admit per (model, link, method) re-derives its key
+        swaps the admitted mix and table entries wholesale, and the
+        model objects a recovered attempt admits against are *new*
+        Python objects — if a stale cache entry survived recovery and
+        a new model landed on a recycled ``id()``, the engine would
+        serve decisions against the dead model's fingerprint.
+        Recovery (:meth:`restore_state`) therefore invalidates the
+        caches; the next admit per (model, method) re-derives its key
         once and re-warms.
         """
         self._decision_keys.clear()
@@ -261,7 +252,6 @@ class AdmissionEngine:
 
     def admit(
         self,
-        link_id: str,
         model: TrafficModel,
         connection_id: str,
         *,
@@ -280,11 +270,11 @@ class AdmissionEngine:
         """
         enabled = _spans._ENABLED
         started = time.perf_counter_ns() if enabled else 0
-        link = self.link(link_id)
-        if connection_id in link.connections:
+        connections = self.connections
+        if connection_id in connections:
             raise ParameterError(
                 f"connection {connection_id!r} already admitted on "
-                f"link {link_id!r}"
+                f"link {self.link_id!r}"
             )
         overload = self.overload
         if (
@@ -294,16 +284,17 @@ class AdmissionEngine:
         ):
             # Shed before any table work: overload protection must not
             # cost a lookup per rejected request.
+            self.shed += 1
             if enabled:
-                link.recorder.shed_at(link.occupancy)
+                self.recorder.shed_at(len(connections))
             return AdmissionDecision(
                 admitted=False,
-                link_id=link_id,
+                link_id=self.link_id,
                 connection_id=connection_id,
                 policy=self.policy,
                 reason=REASON_SHED,
                 admissible=-1,
-                occupancy=link.occupancy,
+                occupancy=len(connections),
                 effective_bandwidth=None,
             )
 
@@ -315,10 +306,10 @@ class AdmissionEngine:
                     try:
                         decision = self.tables.lookup(
                             model,
-                            link.capacity,
-                            link.qos,
+                            self.capacity,
+                            self.qos,
                             self.policy,
-                            key=self._decision_key(model, link, self.policy),
+                            key=self._decision_key(model, self.policy),
                         )
                     except ReproError:
                         opened = overload.breaker.record_failure()
@@ -337,10 +328,10 @@ class AdmissionEngine:
                 # propagate to the caller.
                 decision = self.tables.lookup(
                     model,
-                    link.capacity,
-                    link.qos,
+                    self.capacity,
+                    self.qos,
                     self.policy,
-                    key=self._decision_key(model, link, self.policy),
+                    key=self._decision_key(model, self.policy),
                 )
         if fallback:
             fallback_method = (
@@ -350,23 +341,23 @@ class AdmissionEngine:
             )
             decision = self.tables.lookup(
                 model,
-                link.capacity,
-                link.qos,
+                self.capacity,
+                self.qos,
                 fallback_method,
-                key=self._decision_key(model, link, fallback_method),
+                key=self._decision_key(model, fallback_method),
             )
-            if overload is not None:
-                overload.fallback_total += 1
+            self.fallbacks += 1
             if enabled:
-                link.recorder.fallbacks += 1
+                self.recorder.fallbacks += 1
 
         fingerprint = self._fingerprint_for(model)
         bandwidth = decision.effective_bandwidth
+        class_counts = self.class_counts
         if fallback:
             # The fallback boundary is a peak-allocation count: total
             # occupancy below it is safe for *any* admitted mix, so no
             # homogeneity guard applies here.
-            admitted = link.occupancy < decision.admissible
+            admitted = len(connections) < decision.admissible
             if admitted and self.policy == EFFECTIVE_BANDWIDTH_METHOD:
                 # Keep effective-bandwidth bookkeeping conservative:
                 # charge the peak allocation, symmetric on release.
@@ -374,96 +365,95 @@ class AdmissionEngine:
                     self._mean_for(model) + float(model.std) * PEAK_SIGMA
                 )
         elif self.policy == EFFECTIVE_BANDWIDTH_METHOD:
-            admitted = (
-                link.admitted_bandwidth + bandwidth <= link.capacity
-            )
+            admitted = self.admitted_bandwidth + bandwidth <= self.capacity
         else:
-            if link.class_counts and fingerprint not in link.class_counts:
+            if class_counts and fingerprint not in class_counts:
                 raise ParameterError(
-                    f"link {link_id!r} carries class "
-                    f"{next(iter(link.class_counts))} but policy "
+                    f"link {self.link_id!r} carries class "
+                    f"{next(iter(class_counts))} but policy "
                     f"{self.policy!r} is homogeneous-only; use the "
                     f"{EFFECTIVE_BANDWIDTH_METHOD!r} policy for mixes"
                 )
-            admitted = (
-                link.class_counts.get(fingerprint, 0) < decision.admissible
-            )
+            admitted = class_counts.get(fingerprint, 0) < decision.admissible
         if admitted:
             mean = self._mean_for(model)
-            link.connections[connection_id] = _Connection(
+            connections[connection_id] = _Connection(
                 fingerprint=fingerprint,
                 mean=mean,
                 effective_bandwidth=bandwidth,
             )
-            link.class_counts[fingerprint] = (
-                link.class_counts.get(fingerprint, 0) + 1
-            )
+            class_counts[fingerprint] = class_counts.get(fingerprint, 0) + 1
             if bandwidth is not None:
-                link.admitted_bandwidth += bandwidth
-            link.admitted_mean_load += mean
+                self.admitted_bandwidth += bandwidth
+            self.admitted_mean_load += mean
+            self.admitted += 1
+            if len(connections) > self.peak_occupancy:
+                self.peak_occupancy = len(connections)
+        else:
+            self.blocked += 1
         if enabled:
             # Occupancy after the decision is deterministic for a
             # given seed, so its sketch is part of the serial-vs-jobs
             # bit-identity contract (latency sketches are not).
-            link.recorder.decided(
-                admitted, time.perf_counter_ns() - started, link.occupancy
+            self.recorder.decided(
+                admitted, time.perf_counter_ns() - started, len(connections)
             )
         return AdmissionDecision(
             admitted=admitted,
-            link_id=link_id,
+            link_id=self.link_id,
             connection_id=connection_id,
             policy=self.policy,
             reason=REASON_ADMITTED if admitted else REASON_CAPACITY,
             admissible=decision.admissible,
-            occupancy=link.occupancy,
+            occupancy=len(connections),
             effective_bandwidth=bandwidth,
             fallback=fallback,
         )
 
-    def release(self, link_id: str, connection_id: str) -> None:
+    def release(self, connection_id: str) -> None:
         """Tear down an admitted connection, freeing its allocation."""
-        link = self.link(link_id)
         try:
-            connection = link.connections.pop(connection_id)
+            connection = self.connections.pop(connection_id)
         except KeyError:
             raise ParameterError(
                 f"connection {connection_id!r} is not admitted on "
-                f"link {link_id!r}"
+                f"link {self.link_id!r}"
             ) from None
-        remaining = link.class_counts[connection.fingerprint] - 1
+        class_counts = self.class_counts
+        remaining = class_counts[connection.fingerprint] - 1
         if remaining:
-            link.class_counts[connection.fingerprint] = remaining
+            class_counts[connection.fingerprint] = remaining
         else:
-            del link.class_counts[connection.fingerprint]
+            del class_counts[connection.fingerprint]
         if connection.effective_bandwidth is not None:
-            link.admitted_bandwidth -= connection.effective_bandwidth
-        link.admitted_mean_load -= connection.mean
+            self.admitted_bandwidth -= connection.effective_bandwidth
+        self.admitted_mean_load -= connection.mean
+        self.released += 1
         if _spans._ENABLED:
-            link.recorder.released += 1
+            self.recorder.released += 1
 
     def flush_telemetry(self) -> None:
-        """Publish every link's recorded telemetry, in link order.
+        """Publish the link's recorded telemetry.
 
         Then the table cache's hits since its last publish (a cache
         shared by several engines publishes them once).  See
         :mod:`repro.service.telemetry` for what is recorded and why
         the registry ends in the per-request state.
         """
-        for link in self._links.values():
-            link.recorder.flush()
+        self.recorder.flush()
         self.tables.publish_hits()
 
     # -- exact state transport (journal snapshots) ---------------------------
 
-    def export_link_state(self, link_id: str) -> dict:
-        """The link's admitted mix as exact, JSON-serializable data.
+    def export_state(self) -> dict:
+        """Everything the engine owns, as exact JSON-serializable data.
 
+        The admitted mix, the decision counts and the overload state.
         Floats travel as ``float.hex()`` and the running accumulators
         are exported *as stored* — never recomputed by summation on
         restore, because float addition order matters and recovery
         must be byte-identical to a run that never crashed.
         """
-        link = self.link(link_id)
         return {
             "connections": [
                 [
@@ -476,14 +466,20 @@ class AdmissionEngine:
                         else connection.effective_bandwidth.hex()
                     ),
                 ]
-                for connection_id, connection in link.connections.items()
+                for connection_id, connection in self.connections.items()
             ],
-            "admitted_bandwidth": link.admitted_bandwidth.hex(),
-            "admitted_mean_load": link.admitted_mean_load.hex(),
+            "admitted_bandwidth": self.admitted_bandwidth.hex(),
+            "admitted_mean_load": self.admitted_mean_load.hex(),
+            "counts": {name: getattr(self, name) for name in _COUNTS},
+            "overload": (
+                self.overload.state_dict()
+                if self.overload is not None
+                else None
+            ),
         }
 
-    def restore_link_state(self, link_id: str, state: dict) -> None:
-        """Restore :meth:`export_link_state` output exactly.
+    def restore_state(self, state: dict) -> None:
+        """Restore :meth:`export_state` output exactly.
 
         Also invalidates the decision-key/fingerprint caches: the
         restored world may pair recycled ``id()`` values with
@@ -491,13 +487,12 @@ class AdmissionEngine:
         decision against a stale fingerprint.
         """
         self.invalidate_decision_caches()
-        link = self.link(link_id)
-        link.connections.clear()
-        link.class_counts.clear()
+        self.connections.clear()
+        self.class_counts.clear()
         for connection_id, fingerprint, mean_hex, bandwidth_hex in state[
             "connections"
         ]:
-            link.connections[connection_id] = _Connection(
+            self.connections[connection_id] = _Connection(
                 fingerprint=fingerprint,
                 mean=float.fromhex(mean_hex),
                 effective_bandwidth=(
@@ -506,24 +501,19 @@ class AdmissionEngine:
                     else float.fromhex(bandwidth_hex)
                 ),
             )
-            link.class_counts[fingerprint] = (
-                link.class_counts.get(fingerprint, 0) + 1
+            self.class_counts[fingerprint] = (
+                self.class_counts.get(fingerprint, 0) + 1
             )
-        link.admitted_bandwidth = float.fromhex(state["admitted_bandwidth"])
-        link.admitted_mean_load = float.fromhex(state["admitted_mean_load"])
-
-    # -- introspection -------------------------------------------------------
-
-    def occupancy(self, link_id: str) -> int:
-        return self.link(link_id).occupancy
-
-    def utilization(self, link_id: str) -> float:
-        """Carried mean load as a fraction of the link capacity."""
-        link = self.link(link_id)
-        return link.admitted_mean_load / link.capacity
+        self.admitted_bandwidth = float.fromhex(state["admitted_bandwidth"])
+        self.admitted_mean_load = float.fromhex(state["admitted_mean_load"])
+        for name in _COUNTS:
+            setattr(self, name, int(state["counts"][name]))
+        if self.overload is not None and state["overload"] is not None:
+            self.overload.restore_state(state["overload"])
 
     def __repr__(self) -> str:
         return (
-            f"AdmissionEngine(policy={self.policy!r}, "
-            f"links={len(self._links)}, tables={self.tables!r})"
+            f"AdmissionEngine(link_id={self.link_id!r}, "
+            f"capacity={self.capacity!r}, policy={self.policy!r}, "
+            f"tables={self.tables!r})"
         )

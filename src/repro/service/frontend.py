@@ -22,10 +22,11 @@ Three design rules, each load-bearing at scale:
   its shards in their payloads.
 * **engine-per-link shards** — a shard owns the
   :class:`~repro.service.engine.AdmissionEngine` of every link the
-  ring assigns it, all sharing the shard's snapshot-loaded cache.
-  Overload state stays per link, so the PR-7 backpressure contract
-  (bounded queue shedding, breaker fallback — ``docs/ROBUSTNESS.md``)
-  holds byte-for-byte regardless of how links land on shards.
+  ring assigns it, all sharing the shard's snapshot-loaded cache.  An
+  engine serves exactly one link, so its overload state is per link
+  by construction: the backpressure contract (bounded queue
+  shedding, breaker fallback — ``docs/ROBUSTNESS.md``) holds
+  byte-for-byte regardless of how links land on shards.
 
 The wire protocol (``docs/SERVICE.md``) is newline-delimited JSON:
 one request object per line, one response object per line, pipelined
@@ -38,10 +39,12 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import json
+import math
+import socket
 import time
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.atm.qos import QoSRequirement
 from repro.exceptions import ParameterError, ReproError
@@ -75,6 +78,12 @@ __all__ = [
 MAX_LINE_BYTES = 65536
 #: Bytes asked of the socket per read; each read is answered as a batch.
 _READ_BYTES = 65536
+#: Listen backlog, and the most connections one accept callback takes
+#: (``asyncio.start_server``'s default backlog).
+_BACKLOG = 100
+#: Pause before accepting again after the process ran out of
+#: descriptors or buffers.
+_ACCEPT_RETRY_SECONDS = 1.0
 #: ``json.dumps(response, sort_keys=True)`` of an admit answer, the
 #: decision's fields left as slots.  Filling it costs a fraction of
 #: ``json.dumps``, which builds a new encoder on every call.
@@ -195,20 +204,6 @@ class FrontendStats:
         }
 
 
-@dataclass
-class _Shard:
-    """One shard: a snapshot-loaded cache and its links' engines."""
-
-    index: int
-    tables: DecisionTableCache
-    engines: Dict[str, AdmissionEngine] = field(default_factory=dict)
-    admitted: int = 0
-    blocked: int = 0
-    shed: int = 0
-    fallbacks: int = 0
-    released: int = 0
-
-
 class AdmissionFrontend:
     """In-process surface of the sharded admission service.
 
@@ -219,8 +214,7 @@ class AdmissionFrontend:
         ``ConnectionClass.name``.
     link_ids:
         Every link the frontend serves.  Each is hashed onto a shard
-        and registered with that shard's engine at ``capacity`` /
-        ``qos``.
+        and gets its own engine there, at ``capacity`` / ``qos``.
     policy:
         Admission policy, one of
         :data:`~repro.service.tables.SERVICE_METHODS`.
@@ -229,7 +223,8 @@ class AdmissionFrontend:
         private decision-table cache loaded from the snapshot text).
     overload:
         Optional :class:`~repro.service.overload.OverloadPolicy`
-        applied *per link* — the PR-7 backpressure contract.
+        applied *per link*: each link's engine owns its queue and
+        breaker.
     table_path:
         Optional JSONL table file warming the snapshot.
     publish:
@@ -288,47 +283,52 @@ class AdmissionFrontend:
         #: Monotone table generation: bumped by every completed
         #: :meth:`republish` (the adaptive hot-swap path).
         self.generation = 0
-        self._shards: List[_Shard] = []
-        self._link_shard: Dict[str, _Shard] = {}
-        for index in range(n_shards):
-            tables = load_table(self.table_text)
-            self._shards.append(_Shard(index=index, tables=tables))
+        #: Each shard's private cache, by shard index.
+        self._tables = [load_table(self.table_text) for _ in range(n_shards)]
+        #: Each link's engine, in link order, and its shard index.
+        self._engines: Dict[str, AdmissionEngine] = {}
+        self._shard_index: Dict[str, int] = {}
         for link_id in link_ids:
-            shard = self._shards[self.ring.shard_for(link_id)]
-            engine = AdmissionEngine(
-                policy=policy, tables=shard.tables, overload=overload
+            index = self._shard_index[link_id] = self.ring.shard_for(link_id)
+            self._engines[link_id] = AdmissionEngine(
+                link_id,
+                self.capacity,
+                self.qos,
+                policy=policy,
+                tables=self._tables[index],
+                overload=overload,
             )
-            engine.add_link(link_id, self.capacity, self.qos)
-            shard.engines[link_id] = engine
-            self._link_shard[link_id] = shard
 
     # -- topology ------------------------------------------------------------
 
     @property
     def n_shards(self) -> int:
-        return len(self._shards)
+        return len(self._tables)
 
     @property
     def link_ids(self) -> Tuple[str, ...]:
-        return tuple(self._link_shard)
+        return tuple(self._engines)
 
     def shard_of(self, link_id: str) -> int:
         """The shard index serving ``link_id`` (ring placement)."""
-        shard = self._link_shard.get(link_id)
-        if shard is None:
-            raise ParameterError(
-                f"unknown link {link_id!r}; serving: "
-                f"{sorted(self._link_shard)}"
-            )
-        return shard.index
+        self._engine(link_id)
+        return self._shard_index[link_id]
 
     def boundary(self, class_name: str) -> int:
         """Offline admissible N for ``class_name`` under the policy."""
         cls = self._class(class_name)
-        decision = self._shards[0].tables.lookup(
+        decision = self._tables[0].lookup(
             cls.model, self.capacity, self.qos, self.policy
         )
         return decision.admissible
+
+    def _engine(self, link_id: str) -> AdmissionEngine:
+        engine = self._engines.get(link_id)
+        if engine is None:
+            raise ParameterError(
+                f"unknown link {link_id!r}; serving: {sorted(self._engines)}"
+            )
+        return engine
 
     def _class(self, class_name: str) -> ConnectionClass:
         cls = self._classes.get(class_name)
@@ -356,49 +356,23 @@ class AdmissionFrontend:
         (defaulting to the monotonic clock, so a live server sheds on
         real time while the open-loop driver passes workload time).
         """
-        shard = self._link_shard.get(link_id)
-        if shard is None:
-            raise ParameterError(
-                f"unknown link {link_id!r}; serving: "
-                f"{sorted(self._link_shard)}"
-            )
+        engine = self._engine(link_id)
         cls = self._class(class_name)
         if now is None and self.overload is not None:
             now = time.monotonic()
-        decision = shard.engines[link_id].admit(
-            link_id, cls.model, connection_id, now=now
-        )
-        if decision.reason == "shed":
-            shard.shed += 1
-        elif decision.admitted:
-            shard.admitted += 1
-        else:
-            shard.blocked += 1
-        if decision.fallback:
-            shard.fallbacks += 1
-        return decision
+        return engine.admit(cls.model, connection_id, now=now)
 
     def release(self, link_id: str, connection_id: str) -> None:
         """Tear down an admitted connection on its shard."""
-        shard = self._link_shard.get(link_id)
-        if shard is None:
-            raise ParameterError(
-                f"unknown link {link_id!r}; serving: "
-                f"{sorted(self._link_shard)}"
-            )
-        shard.engines[link_id].release(link_id, connection_id)
-        shard.released += 1
+        self._engine(link_id).release(connection_id)
 
     def occupancy(self, link_id: str) -> int:
-        shard = self._link_shard.get(link_id)
-        if shard is None:
-            raise ParameterError(f"unknown link {link_id!r}")
-        return shard.engines[link_id].occupancy(link_id)
+        return self._engine(link_id).occupancy
 
     def flush_telemetry(self) -> None:
         """Publish every link's recorded telemetry, in link order."""
-        for link_id, shard in self._link_shard.items():
-            shard.engines[link_id].flush_telemetry()
+        for engine in self._engines.values():
+            engine.flush_telemetry()
 
     def stats(self) -> FrontendStats:
         """Aggregate decision counters across every shard.
@@ -407,14 +381,15 @@ class AdmissionFrontend:
         every decision made so far.
         """
         self.flush_telemetry()
+        engines = self._engines.values()
         return FrontendStats(
-            n_shards=len(self._shards),
-            n_links=len(self._link_shard),
-            admitted=sum(s.admitted for s in self._shards),
-            blocked=sum(s.blocked for s in self._shards),
-            shed=sum(s.shed for s in self._shards),
-            fallbacks=sum(s.fallbacks for s in self._shards),
-            released=sum(s.released for s in self._shards),
+            n_shards=len(self._tables),
+            n_links=len(engines),
+            admitted=sum(engine.admitted for engine in engines),
+            blocked=sum(engine.blocked for engine in engines),
+            shed=sum(engine.shed for engine in engines),
+            fallbacks=sum(engine.fallbacks for engine in engines),
+            released=sum(engine.released for engine in engines),
             table_generation=self.generation,
         )
 
@@ -436,14 +411,13 @@ class AdmissionFrontend:
         generation.
         """
         self.table_text = table_text
-        for shard in self._shards:
+        for index, retiring in enumerate(self._tables):
             # The retiring cache's hits would otherwise go unpublished.
-            shard.tables.publish_hits()
-            tables = load_table(table_text)
-            shard.tables = tables
-            for engine in shard.engines.values():
-                engine.tables = tables
-                engine.invalidate_decision_caches()
+            retiring.publish_hits()
+            self._tables[index] = load_table(table_text)
+        for link_id, engine in self._engines.items():
+            engine.tables = self._tables[self._shard_index[link_id]]
+            engine.invalidate_decision_caches()
         self.generation += 1
         return self.generation
 
@@ -460,7 +434,7 @@ class AdmissionFrontend:
     def __repr__(self) -> str:
         return (
             f"AdmissionFrontend(policy={self.policy!r}, "
-            f"links={len(self._link_shard)}, shards={len(self._shards)})"
+            f"links={len(self._engines)}, shards={len(self._tables)})"
         )
 
 
@@ -492,10 +466,15 @@ class FrontendServer:
     error and skipped through its newline.  Service errors (unknown
     link/class, double admit) come back as ``{"ok": false, "error":
     "..."}`` on the same line — the connection survives; malformed
-    JSON likewise.  All shards live on the server's event loop, so
-    per-connection handlers never race on engine state.
-    :meth:`stop` closes the live connections before it waits for the
-    listener to shut.
+    JSON likewise, and so is an admit whose ``"now"`` is not a finite
+    number (a NaN arrival time would never leave the overload queue).
+    All shards live on the server's event loop, so per-connection
+    handlers never race on engine state.
+
+    The server owns its listening sockets and accepts in a reader
+    callback, so every accepted socket is the server's from the
+    moment it exists: :meth:`stop` closes the ones whose handler has
+    not started along with the live connections.
     """
 
     def __init__(
@@ -508,51 +487,111 @@ class FrontendServer:
         self.frontend = frontend
         self.host = host
         self.port = port
-        self._server: Optional[asyncio.AbstractServer] = None
-        #: The handler task serving each live connection, by its
-        #: writer; stop() closes the writers and awaits the tasks.
-        self._handlers: Dict[asyncio.StreamWriter, asyncio.Task] = {}
+        #: The listening sockets while serving; None before start()
+        #: and after stop().
+        self._listeners: Optional[List[socket.socket]] = None
+        #: Accepted sockets whose handler task has not started yet.
+        self._unstarted: Set[socket.socket] = set()
+        #: The handler task of every accepted connection.
+        self._tasks: Set[asyncio.Task] = set()
+        #: The stream writer of every connection being served.
+        self._writers: Set[asyncio.StreamWriter] = set()
 
     async def start(self) -> "FrontendServer":
-        """Bind and start accepting; resolves ``port`` when 0."""
-        self._server = await asyncio.start_server(
-            self._handle, self.host, self.port
+        """Bind and start accepting; resolves ``port`` when 0.
+
+        Binds every address ``host`` resolves to, as
+        ``asyncio.start_server`` does (an empty host means every
+        interface).
+        """
+        loop = asyncio.get_running_loop()
+        infos = await loop.getaddrinfo(
+            self.host or None,
+            self.port,
+            type=socket.SOCK_STREAM,
+            flags=socket.AI_PASSIVE,
         )
-        self.port = self._server.sockets[0].getsockname()[1]
+        listeners: List[socket.socket] = []
+        try:
+            for family, _, _, _, address in dict.fromkeys(infos):
+                # SO_REUSEADDR, and IPV6_V6ONLY on IPv6, as asyncio sets.
+                listener = socket.create_server(
+                    address, family=family, backlog=_BACKLOG
+                )
+                listener.setblocking(False)
+                listeners.append(listener)
+        except OSError:
+            for listener in listeners:
+                listener.close()
+            raise
+        self._listeners = listeners
+        for listener in listeners:
+            self._listen(listener)
+        self.port = listeners[0].getsockname()[1]
         return self
 
     async def serve_forever(self) -> None:
         """Serve until cancelled, then :meth:`stop`."""
-        if self._server is None:
+        if self._listeners is None:
             await self.start()
         try:
-            # Not ``Server.serve_forever``: cancelled, it waits for
-            # the listener to close, which from Python 3.12.1 on waits
-            # for every open connection, before stop() could close them.
             await asyncio.get_running_loop().create_future()
         finally:
             await self.stop()
 
     async def stop(self) -> None:
-        """Stop accepting, close every live connection, and wait.
+        """Stop accepting, close every connection, and wait.
 
-        A connection closes once its answers so far are flushed, and
-        its handler then sees end of stream and returns.  One with
-        answers still queued is aborted instead: its client is not
-        reading them, and a flush would wait for it.
+        An accepted socket whose handler has not started is closed at
+        once.  A live connection closes once its answers so far are
+        flushed, and its handler then sees end of stream and returns.
+        One with answers still queued is aborted instead: its client
+        is not reading them, and a flush would wait for it.
         """
-        server, self._server = self._server, None
-        if server is not None:
-            server.close()
-            handlers = list(self._handlers.values())
-            for writer in self._handlers:
-                if writer.transport.get_write_buffer_size():
-                    writer.transport.abort()
-                else:
-                    writer.close()
-            await server.wait_closed()
-            if handlers:
-                await asyncio.wait(handlers)
+        listeners, self._listeners = self._listeners, None
+        if listeners is None:
+            return
+        loop = asyncio.get_running_loop()
+        for listener in listeners:
+            loop.remove_reader(listener.fileno())
+            listener.close()
+        for conn in self._unstarted:
+            conn.close()
+        self._unstarted.clear()
+        for writer in self._writers:
+            if writer.transport.get_write_buffer_size():
+                writer.transport.abort()
+            else:
+                writer.close()
+        if self._tasks:
+            await asyncio.wait(self._tasks)
+
+    def _listen(self, listener: socket.socket) -> None:
+        """Accept on ``listener`` unless stop() has closed it."""
+        if self._listeners is not None and listener in self._listeners:
+            asyncio.get_running_loop().add_reader(
+                listener.fileno(), self._accept, listener
+            )
+
+    def _accept(self, listener: socket.socket) -> None:
+        """Accept every queued connection; each gets a handler task."""
+        loop = asyncio.get_running_loop()
+        for _ in range(_BACKLOG):
+            try:
+                conn, _ = listener.accept()
+            except (BlockingIOError, InterruptedError, ConnectionAbortedError):
+                return
+            except OSError:
+                # Out of descriptors or buffers: the listener stays
+                # readable, so pause accepting rather than spin.
+                loop.remove_reader(listener.fileno())
+                loop.call_later(_ACCEPT_RETRY_SECONDS, self._listen, listener)
+                return
+            conn.setblocking(False)
+            self._unstarted.add(conn)
+            task = loop.create_task(self._handle(conn))
+            self._tasks.add(task)
+            task.add_done_callback(self._tasks.discard)
 
     def _answer(self, line: bytes) -> bytes:
         """The response line to one request line (newline stripped)."""
@@ -568,11 +607,17 @@ class FrontendServer:
             op = request.get("op")
             if op == "admit":
                 now = request.get("now")
+                if now is not None:
+                    now = float(now)
+                    if not math.isfinite(now):
+                        raise ParameterError(
+                            f'"now" must be a finite number, got {now!r}'
+                        )
                 decision = self.frontend.admit(
                     str(request["link"]),
                     str(request["class"]),
                     str(request["conn"]),
-                    now=None if now is None else float(now),
+                    now=now,
                 )
                 return _ADMIT_RESPONSE % (
                     decision.admissible,
@@ -608,15 +653,20 @@ class FrontendServer:
             response = {"ok": False, "error": str(exc)}
         return json.dumps(response, sort_keys=True).encode("utf-8") + b"\n"
 
-    async def _handle(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        if self._server is None:
-            writer.close()  # accepted just before stop(); not served
+    async def _handle(self, conn: socket.socket) -> None:
+        """Serve one accepted socket, unless stop() closed it first."""
+        if conn not in self._unstarted:
             return
-        self._handlers[writer] = asyncio.current_task()
+        self._unstarted.discard(conn)
+        try:
+            reader, writer = await asyncio.open_connection(sock=conn)
+        except OSError:
+            conn.close()
+            return
+        if self._listeners is None:
+            writer.close()  # stop() began while the stream was made
+            return
+        self._writers.add(writer)
         answer = self._answer
         # The incomplete last line of the reads so far.
         tail = b""
@@ -650,7 +700,7 @@ class FrontendServer:
         except (ConnectionResetError, BrokenPipeError):
             pass  # client went away mid-batch; nothing to answer
         finally:
-            del self._handlers[writer]
+            self._writers.discard(writer)
             writer.close()
 
     def __repr__(self) -> str:

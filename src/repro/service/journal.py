@@ -20,8 +20,9 @@ with three record types in ``data``:
 * ``event``    — one admission decision: sequence number ``seq``, the
   outcome ``k`` (``"a"`` admitted / ``"b"`` blocked / ``"s"`` shed),
   and ``fb`` when the decision came from the fallback policy;
-* ``snapshot`` — the full link state after event ``seq`` (engine
-  bookkeeping, departure heap, table counters, overload state), so
+* ``snapshot`` — the full link state after event ``seq`` (the
+  engine's mix, decision counts and overload state, the lane's
+  departure heap and carried-load integral, table counters), so
   recovery replays only the post-snapshot suffix.
 
 Crash semantics: every attempt writes its **own** file
@@ -66,7 +67,8 @@ __all__ = [
 ]
 
 #: Bumped only on incompatible format changes; readers reject others.
-JOURNAL_VERSION = 1
+#: Version 2 snapshots carry the engine's own state under ``engine``.
+JOURNAL_VERSION = 2
 
 #: Event kinds: admitted, blocked, shed.
 EVENT_KINDS = ("a", "b", "s")

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import Deque, Optional
 
 from repro.exceptions import ParameterError
+from repro.service.tables import SERVICE_METHODS
 from repro.utils.validation import check_integer
 
 __all__ = [
@@ -78,7 +79,10 @@ class OverloadPolicy:
         so recovery is deterministic under replay.
     fallback_method:
         The conservative policy served while the breaker is open
-        (default ``peak-rate`` — zero statistical-multiplexing risk).
+        (default ``peak-rate`` — zero statistical-multiplexing risk);
+        one of :data:`~repro.service.tables.SERVICE_METHODS`, checked
+        here so a bad name fails at construction, not at the first
+        fallback decision the breaker exists to serve.
     """
 
     max_queue_depth: int = 64
@@ -99,6 +103,11 @@ class OverloadPolicy:
             minimum=1,
         )
         check_integer(self.breaker_cooldown, "breaker_cooldown", minimum=1)
+        if self.fallback_method not in SERVICE_METHODS:
+            raise ParameterError(
+                f"unknown fallback_method {self.fallback_method!r}; "
+                f"choose from {', '.join(SERVICE_METHODS)}"
+            )
 
 
 class AdmissionQueue:
@@ -118,7 +127,6 @@ class AdmissionQueue:
             )
         self.decision_seconds = float(decision_seconds)
         self._completions: Deque[float] = deque()
-        self.shed_total = 0
 
     def offer(self, now: float) -> bool:
         """Admit one request to the decision server, or shed it."""
@@ -126,7 +134,6 @@ class AdmissionQueue:
         while completions and completions[0] <= now:
             completions.popleft()
         if len(completions) >= self.max_depth:
-            self.shed_total += 1
             return False
         start = completions[-1] if completions else now
         completions.append(max(start, now) + self.decision_seconds)
@@ -138,16 +145,12 @@ class AdmissionQueue:
         return len(self._completions)
 
     def state_dict(self) -> dict:
-        return {
-            "completions": [t.hex() for t in self._completions],
-            "shed_total": self.shed_total,
-        }
+        return {"completions": [t.hex() for t in self._completions]}
 
     def restore_state(self, state: dict) -> None:
         self._completions = deque(
             float.fromhex(t) for t in state["completions"]
         )
-        self.shed_total = int(state["shed_total"])
 
 
 class CircuitBreaker:
@@ -235,16 +238,13 @@ class OverloadState:
         self.breaker = CircuitBreaker(
             policy.breaker_failure_threshold, policy.breaker_cooldown
         )
-        self.fallback_total = 0
 
     def state_dict(self) -> dict:
         return {
             "queue": self.queue.state_dict(),
             "breaker": self.breaker.state_dict(),
-            "fallback_total": self.fallback_total,
         }
 
     def restore_state(self, state: dict) -> None:
         self.queue.restore_state(state["queue"])
         self.breaker.restore_state(state["breaker"])
-        self.fallback_total = int(state["fallback_total"])

@@ -259,11 +259,16 @@ def replay_link(
     if cues.table_faults:
         faulty_tables = FaultyDecisionTables(tables, cues.table_faults, policy)
         tables = faulty_tables
-    engine = AdmissionEngine(policy=policy, tables=tables, overload=overload)
-    link_id = f"link-{link_index}"
-    engine.add_link(link_id, capacity, qos)
+    engine = AdmissionEngine(
+        f"link-{link_index}",
+        capacity,
+        qos,
+        policy=policy,
+        tables=tables,
+        overload=overload,
+    )
     workload = generate_workload(spec, classes, rng)
-    lane = LinkLane(engine, link_id, workload, [c.model for c in classes])
+    lane = LinkLane(engine, workload, [c.model for c in classes])
 
     recovery = None
     fingerprint = None
@@ -380,11 +385,11 @@ def replay_link(
     return LinkStats(
         link_index=link_index,
         n_requests=workload.n_requests,
-        admitted=lane.admitted,
-        blocked=lane.blocked,
-        shed=lane.shed,
-        fallbacks=lane.fallbacks,
-        peak_occupancy=lane.peak_occupancy,
+        admitted=engine.admitted,
+        blocked=engine.blocked,
+        shed=engine.shed,
+        fallbacks=engine.fallbacks,
+        peak_occupancy=engine.peak_occupancy,
         admissible=boundary.admissible,
         boundary_violations=lane.boundary_violations,
         carried_load_seconds=lane.carried_load_seconds,

@@ -5,7 +5,9 @@ import pytest
 from repro.atm.qos import QoSRequirement
 from repro.exceptions import ParameterError
 from repro.models import AR1Model, make_s
+from repro.resilience.faults import FaultyDecisionTables
 from repro.service.engine import AdmissionEngine
+from repro.service.overload import OverloadPolicy
 from repro.service.tables import DecisionTableCache
 
 
@@ -21,121 +23,114 @@ def dar1_fit():
 
 @pytest.fixture
 def engine(qos):
-    engine = AdmissionEngine(policy="bahadur-rao")
-    engine.add_link("oc3", 30 * 538.0, qos)
-    return engine
+    return AdmissionEngine("oc3", 30 * 538.0, qos, policy="bahadur-rao")
 
 
 class TestTopology:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ParameterError, match="unknown admission policy"):
-            AdmissionEngine(policy="first-fit")
+            AdmissionEngine("oc3", 30 * 538.0, policy="first-fit")
 
-    def test_duplicate_link_rejected(self, engine, qos):
-        with pytest.raises(ParameterError, match="already registered"):
-            engine.add_link("oc3", 100.0, qos)
+    def test_nonpositive_capacity_rejected(self):
+        with pytest.raises(ParameterError, match="capacity"):
+            AdmissionEngine("oc3", 0.0)
 
-    def test_unknown_link_rejected(self, engine, dar1_fit):
-        with pytest.raises(ParameterError, match="unknown link"):
-            engine.admit("oc12", dar1_fit, "c0")
-
-    def test_links_view_is_a_copy(self, engine):
-        view = engine.links
-        view.clear()
-        assert engine.links
+    def test_decisions_name_the_engine_link(self, engine, dar1_fit):
+        assert engine.admit(dar1_fit, "c0").link_id == "oc3"
 
 
 class TestCountPolicy:
     def test_admits_exactly_to_the_boundary(self, engine, dar1_fit):
         boundary = engine.tables.lookup(
-            dar1_fit, 30 * 538.0, engine.link("oc3").qos, "bahadur-rao"
+            dar1_fit, 30 * 538.0, engine.qos, "bahadur-rao"
         ).admissible
         assert boundary > 0
         for i in range(boundary):
-            decision = engine.admit("oc3", dar1_fit, f"c{i}")
+            decision = engine.admit(dar1_fit, f"c{i}")
             assert decision.admitted, f"blocked below the boundary at {i}"
-        overflow = engine.admit("oc3", dar1_fit, "c-overflow")
+        overflow = engine.admit(dar1_fit, "c-overflow")
         assert not overflow.admitted
         assert overflow.reason == "capacity"
-        assert engine.occupancy("oc3") == boundary
+        assert engine.occupancy == boundary
 
     def test_release_frees_one_slot(self, engine, dar1_fit):
-        boundary = engine.admit("oc3", dar1_fit, "c0").admissible
+        boundary = engine.admit(dar1_fit, "c0").admissible
         for i in range(1, boundary):
-            engine.admit("oc3", dar1_fit, f"c{i}")
-        assert not engine.admit("oc3", dar1_fit, "blocked").admitted
-        engine.release("oc3", "c0")
-        assert engine.admit("oc3", dar1_fit, "retry").admitted
+            engine.admit(dar1_fit, f"c{i}")
+        assert not engine.admit(dar1_fit, "blocked").admitted
+        engine.release("c0")
+        assert engine.admit(dar1_fit, "retry").admitted
 
     def test_duplicate_connection_rejected(self, engine, dar1_fit):
-        engine.admit("oc3", dar1_fit, "c0")
+        engine.admit(dar1_fit, "c0")
         with pytest.raises(ParameterError, match="already admitted"):
-            engine.admit("oc3", dar1_fit, "c0")
+            engine.admit(dar1_fit, "c0")
 
     def test_release_unknown_connection_rejected(self, engine):
         with pytest.raises(ParameterError, match="not admitted"):
-            engine.release("oc3", "ghost")
+            engine.release("ghost")
 
     def test_mixing_classes_rejected(self, engine, dar1_fit):
-        engine.admit("oc3", dar1_fit, "c0")
+        engine.admit(dar1_fit, "c0")
         with pytest.raises(ParameterError, match="homogeneous-only"):
-            engine.admit("oc3", AR1Model(0.6, 100.0, 400.0), "c1")
+            engine.admit(AR1Model(0.6, 100.0, 400.0), "c1")
 
     def test_utilization_tracks_admitted_means(self, engine, dar1_fit):
-        assert engine.utilization("oc3") == 0.0
-        engine.admit("oc3", dar1_fit, "c0")
-        engine.admit("oc3", dar1_fit, "c1")
+        assert engine.utilization == 0.0
+        engine.admit(dar1_fit, "c0")
+        engine.admit(dar1_fit, "c1")
         expected = 2 * dar1_fit.mean / (30 * 538.0)
-        assert engine.utilization("oc3") == pytest.approx(expected)
-        engine.release("oc3", "c0")
-        assert engine.utilization("oc3") == pytest.approx(expected / 2)
+        assert engine.utilization == pytest.approx(expected)
+        engine.release("c0")
+        assert engine.utilization == pytest.approx(expected / 2)
 
 
 class TestEffectiveBandwidthPolicy:
     def test_serves_heterogeneous_mixes(self, qos):
-        engine = AdmissionEngine(policy="effective-bandwidth")
-        engine.add_link("oc3", 30 * 538.0, qos)
-        big = engine.admit("oc3", make_s(1, 0.975), "video-0")
-        small = engine.admit("oc3", AR1Model(0.6, 100.0, 400.0), "conf-0")
+        engine = AdmissionEngine(
+            "oc3", 30 * 538.0, qos, policy="effective-bandwidth"
+        )
+        big = engine.admit(make_s(1, 0.975), "video-0")
+        small = engine.admit(AR1Model(0.6, 100.0, 400.0), "conf-0")
         assert big.admitted and small.admitted
         assert big.effective_bandwidth > small.effective_bandwidth
 
     def test_blocks_when_bandwidth_exhausted(self, qos, dar1_fit):
-        engine = AdmissionEngine(policy="effective-bandwidth")
-        link = engine.add_link("oc3", 30 * 538.0, qos)
+        engine = AdmissionEngine(
+            "oc3", 30 * 538.0, qos, policy="effective-bandwidth"
+        )
         i = 0
         while True:
-            decision = engine.admit("oc3", dar1_fit, f"c{i}")
+            decision = engine.admit(dar1_fit, f"c{i}")
             if not decision.admitted:
                 break
             i += 1
         assert i > 0
-        assert link.admitted_bandwidth <= link.capacity
+        assert engine.admitted_bandwidth <= engine.capacity
         # One charge more would not have fit — the block was tight.
         assert (
-            link.admitted_bandwidth + decision.effective_bandwidth
-            > link.capacity
+            engine.admitted_bandwidth + decision.effective_bandwidth
+            > engine.capacity
         )
 
     def test_release_restores_bandwidth(self, qos, dar1_fit):
-        engine = AdmissionEngine(policy="effective-bandwidth")
-        link = engine.add_link("oc3", 30 * 538.0, qos)
-        engine.admit("oc3", dar1_fit, "c0")
-        engine.release("oc3", "c0")
-        assert link.admitted_bandwidth == pytest.approx(0.0)
-        assert link.admitted_mean_load == pytest.approx(0.0)
-        assert link.occupancy == 0
+        engine = AdmissionEngine(
+            "oc3", 30 * 538.0, qos, policy="effective-bandwidth"
+        )
+        engine.admit(dar1_fit, "c0")
+        engine.release("c0")
+        assert engine.admitted_bandwidth == pytest.approx(0.0)
+        assert engine.admitted_mean_load == pytest.approx(0.0)
+        assert engine.occupancy == 0
 
 
 class TestSharedTables:
     def test_engines_share_one_cache(self, qos, dar1_fit):
         tables = DecisionTableCache()
-        first = AdmissionEngine(policy="bahadur-rao", tables=tables)
-        second = AdmissionEngine(policy="bahadur-rao", tables=tables)
-        first.add_link("a", 30 * 538.0, qos)
-        second.add_link("b", 30 * 538.0, qos)
-        first.admit("a", dar1_fit, "c0")
-        second.admit("b", dar1_fit, "c0")
+        first = AdmissionEngine("a", 30 * 538.0, qos, tables=tables)
+        second = AdmissionEngine("b", 30 * 538.0, qos, tables=tables)
+        first.admit(dar1_fit, "c0")
+        second.admit(dar1_fit, "c0")
         assert tables.misses == 1
         assert tables.hits >= 1
 
@@ -151,19 +146,15 @@ class TestRecoveryCacheInvalidation:
     and assert recovery purges them.
     """
 
-    def test_restore_link_state_purges_decision_caches(
-        self, engine, dar1_fit
-    ):
-        engine.admit("oc3", dar1_fit, "c0")
+    def test_restore_state_purges_decision_caches(self, engine, dar1_fit):
+        engine.admit(dar1_fit, "c0")
         assert engine._decision_keys and engine._fingerprints
-        snapshot = engine.export_link_state("oc3")
+        snapshot = engine.export_state()
 
         rogue = make_s(3, 0.950)
         engine._fingerprints[id(rogue)] = "stale-fingerprint"
-        engine._decision_keys[(id(rogue), "oc3", engine.policy)] = (
-            "stale-key"
-        )
-        engine.restore_link_state("oc3", snapshot)
+        engine._decision_keys[(id(rogue), engine.policy)] = "stale-key"
+        engine.restore_state(snapshot)
 
         assert not engine._decision_keys
         assert not engine._fingerprints
@@ -175,18 +166,18 @@ class TestRecoveryCacheInvalidation:
         boundary = engine.tables.lookup(
             dar1_fit, 30 * 538.0, qos, "bahadur-rao"
         ).admissible
-        engine.admit("oc3", dar1_fit, "c0")
-        snapshot = engine.export_link_state("oc3")
+        engine.admit(dar1_fit, "c0")
+        snapshot = engine.export_state()
 
         # Poison the caches for the very model recovery will re-admit
         # against — the worst-case recycled-id collision.
         engine._fingerprints[id(dar1_fit)] = "stale-fingerprint"
-        engine.restore_link_state("oc3", snapshot)
+        engine.restore_state(snapshot)
 
-        decision = engine.admit("oc3", dar1_fit, "c1")
+        decision = engine.admit(dar1_fit, "c1")
         assert decision.admitted
         assert decision.admissible == boundary
-        assert engine.occupancy("oc3") == 2
+        assert engine.occupancy == 2
         # The cache re-warmed from the live object, not the poison.
         assert (
             engine._fingerprints.get(id(dar1_fit)) != "stale-fingerprint"
@@ -195,7 +186,7 @@ class TestRecoveryCacheInvalidation:
     def test_invalidate_is_idempotent(self, engine, dar1_fit):
         engine.invalidate_decision_caches()
         engine.invalidate_decision_caches()
-        assert engine.admit("oc3", dar1_fit, "c0").admitted
+        assert engine.admit(dar1_fit, "c0").admitted
 
 
 class TestModelMeanMemo:
@@ -204,24 +195,101 @@ class TestModelMeanMemo:
 
         # A superposed model re-sums its components on every read.
         video = build_class("video").model
-        engine = AdmissionEngine(policy="bahadur-rao")
-        link = engine.add_link("oc3", 30 * 538.0, qos)
+        engine = AdmissionEngine("oc3", 30 * 538.0, qos)
         expected = 0.0
         for i in range(5):
-            assert engine.admit("oc3", video, f"c{i}").admitted
+            assert engine.admit(video, f"c{i}").admitted
             expected += float(video.mean)
-        assert link.admitted_mean_load == expected
+        assert engine.admitted_mean_load == expected
         assert all(
-            c.mean == float(video.mean) for c in link.connections.values()
+            c.mean == float(video.mean) for c in engine.connections.values()
         )
         assert engine._means == {id(video): float(video.mean)}
 
     def test_invalidation_drops_the_memo(self, engine, dar1_fit):
-        engine.admit("oc3", dar1_fit, "c0")
+        engine.admit(dar1_fit, "c0")
         engine._means[id(dar1_fit)] = -1.0
         engine.invalidate_decision_caches()
         assert not engine._means
-        engine.admit("oc3", dar1_fit, "c1")
-        assert engine.link("oc3").connections["c1"].mean == float(
-            dar1_fit.mean
+        engine.admit(dar1_fit, "c1")
+        assert engine.connections["c1"].mean == float(dar1_fit.mean)
+
+
+class TestStateTransport:
+    """``export_state``/``restore_state`` carry everything the engine
+    owns — the mix, the decision counts, the accumulators as stored
+    and the overload state — so a restored engine is indistinguishable
+    from the one it was taken from."""
+
+    def _busy_engine(self, qos, dar1_fit):
+        tables = FaultyDecisionTables(
+            DecisionTableCache(), {3, 4}, "bahadur-rao"
+        )
+        engine = AdmissionEngine(
+            "oc3",
+            30 * 538.0,
+            qos,
+            tables=tables,
+            overload=OverloadPolicy(
+                max_queue_depth=2, decision_seconds=0.7, breaker_cooldown=2
+            ),
+        )
+        for i in range(120):
+            tables.current_request = i
+            decision = engine.admit(dar1_fit, f"c{i}", now=i * 0.4)
+            if decision.admitted and i % 5 == 0:
+                engine.release(f"c{i}")
+        return engine, tables
+
+    def _state(self, engine):
+        return {
+            "counts": [
+                engine.admitted,
+                engine.blocked,
+                engine.shed,
+                engine.fallbacks,
+                engine.released,
+                engine.peak_occupancy,
+            ],
+            "mix": dict(engine.connections),
+            "classes": dict(engine.class_counts),
+            "bandwidth": engine.admitted_bandwidth.hex(),
+            "load": engine.admitted_mean_load.hex(),
+            "overload": engine.overload.state_dict(),
+        }
+
+    def test_round_trip_is_exact(self, qos, dar1_fit):
+        engine, tables = self._busy_engine(qos, dar1_fit)
+        # Every count and the breaker moved, so each is checked.
+        assert engine.blocked and engine.shed and engine.fallbacks
+        assert engine.released and engine.overload.breaker.opens
+        assert engine.admitted_mean_load > 0
+
+        twin = AdmissionEngine(
+            "oc3",
+            30 * 538.0,
+            qos,
+            tables=tables,
+            overload=engine.overload.policy,
+        )
+        twin.restore_state(engine.export_state())
+        assert self._state(twin) == self._state(engine)
+        assert twin.export_state() == engine.export_state()
+
+        # Both now decide identically.
+        for i in range(120, 160):
+            tables.current_request = i
+            assert twin.admit(dar1_fit, f"c{i}", now=i * 0.4) == (
+                engine.admit(dar1_fit, f"c{i}", now=i * 0.4)
+            )
+        assert self._state(twin) == self._state(engine)
+
+    def test_state_is_plain_json_with_hex_floats(self, qos, dar1_fit):
+        import json
+
+        engine, _ = self._busy_engine(qos, dar1_fit)
+        state = engine.export_state()
+        assert json.loads(json.dumps(state)) == state
+        assert float.fromhex(state["admitted_mean_load"]) == (
+            engine.admitted_mean_load
         )

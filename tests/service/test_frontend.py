@@ -120,7 +120,7 @@ class TestTableSnapshot:
         ) as private:
             assert published.table_text == private.table_text
             for frontend in (published, private):
-                assert [s.tables.dump_text() for s in frontend._shards] == [
+                assert [t.dump_text() for t in frontend._tables] == [
                     frontend.table_text
                 ] * 2
 
@@ -180,6 +180,26 @@ class TestAdmissionFrontend:
             shed = [d for d in outcomes if d.reason == "shed"]
             assert shed, "a 10s decision budget with queue 1 must shed"
             assert frontend.stats().shed == len(shed)
+
+    def test_overload_is_per_link_on_a_shared_shard(self, classes, qos):
+        # Two links on one shard: link-0 saturating its decision queue
+        # must not shed link-1's request at the same instant.
+        policy = OverloadPolicy(max_queue_depth=1, decision_seconds=10)
+        with AdmissionFrontend(
+            classes,
+            ["link-0", "link-1"],
+            capacity=CAPACITY,
+            qos=qos,
+            n_shards=1,
+            overload=policy,
+        ) as frontend:
+            assert frontend.shard_of("link-0") == frontend.shard_of("link-1")
+            assert frontend.admit("link-0", "dar1", "c0", now=0.0).admitted
+            saturated = frontend.admit("link-0", "dar1", "c1", now=0.0)
+            assert saturated.reason == "shed"
+            assert frontend.admit("link-1", "dar1", "c0", now=0.0).admitted
+            stats = frontend.stats()
+            assert (stats.admitted, stats.shed) == (2, 1)
 
 
 class TestFrontendServer:
@@ -265,6 +285,53 @@ class TestFrontendServer:
                     await server.stop()
 
         self._run(scenario())
+
+    def test_non_finite_now_is_refused(self, classes, qos):
+        # A NaN arrival time would sit in the overload queue forever:
+        # admits 1 s apart at now = 10 ... 15 would then shed from the
+        # fourth onward.  The server answers it with an error instead,
+        # and the connection and the queue carry on.
+        policy = OverloadPolicy(max_queue_depth=4, decision_seconds=0.001)
+
+        async def scenario():
+            with _frontend(classes, qos, overload=policy) as frontend:
+                server = await FrontendServer(frontend).start()
+                try:
+                    reader, writer = await asyncio.open_connection(
+                        server.host, server.port
+                    )
+                    answers = []
+                    for now in (float("nan"), float("inf")):
+                        answers.append(
+                            await self._roundtrip(
+                                reader,
+                                writer,
+                                {"op": "admit", "link": "link-0",
+                                 "class": "dar1", "conn": "bad",
+                                 "now": now},
+                            )
+                        )
+                    for t in range(10, 16):
+                        answers.append(
+                            await self._roundtrip(
+                                reader,
+                                writer,
+                                {"op": "admit", "link": "link-0",
+                                 "class": "dar1", "conn": f"c{t}",
+                                 "now": float(t)},
+                            )
+                        )
+                    writer.close()
+                    await writer.wait_closed()
+                    return answers
+                finally:
+                    await server.stop()
+
+        answers = self._run(scenario())
+        for refused in answers[:2]:
+            assert not refused["ok"]
+            assert "finite" in refused["error"]
+        assert [a["reason"] for a in answers[2:]] == ["admitted"] * 6
 
 
 def _admit_line(link, conn, class_name="dar1"):
@@ -593,11 +660,13 @@ class TestServerStop:
         self, classes, qos
     ):
         # Stopping after 0-11 loop steps of a client's connect lands in
-        # each phase of the accept; where the handler task starts only
-        # after stop() began, it must close at once, not wait on the
-        # socket (Python 3.12.1's wait_closed would wait for it).
+        # each phase of the accept.  In every phase the client is
+        # refused or reads EOF within a second, and no handler task is
+        # left running (Python 3.12.1's wait_closed would wait on an
+        # accepted socket nobody closed).
         async def scenario():
             left_running = []
+            outcomes = []
             with _frontend(classes, qos) as frontend:
                 for steps in range(12):
                     server = await FrontendServer(frontend).start()
@@ -612,13 +681,25 @@ class TestServerStop:
                         len(asyncio.all_tasks() - {asyncio.current_task()})
                     )
                     try:
-                        _, writer = await connecting
+                        reader, writer = await connecting
                     except OSError:
-                        continue  # refused: the listener closed first
-                    writer.close()
-            return left_running
+                        outcomes.append("refused")  # listener closed first
+                        continue
+                    try:
+                        outcomes.append(
+                            await asyncio.wait_for(reader.read(), 1)
+                        )
+                    except ConnectionResetError:
+                        outcomes.append("refused")  # reset in the backlog
+                    except asyncio.TimeoutError:
+                        outcomes.append("no EOF")
+                    finally:
+                        writer.close()
+            return left_running, outcomes
 
-        assert asyncio.run(scenario()) == [0] * 12
+        left_running, outcomes = asyncio.run(scenario())
+        assert left_running == [0] * 12
+        assert all(o in ("refused", b"") for o in outcomes), outcomes
 
     def test_cancelled_serve_forever_closes_connections(self, classes, qos):
         # The runner serve path: Ctrl-C cancels serve_forever.
@@ -687,9 +768,7 @@ class TestRepublish:
             frontend.republish(text)
             # Every shard reloaded its cache from the new snapshot.
             assert frontend.table_text == text
-            assert [s.tables.dump_text() for s in frontend._shards] == [
-                text
-            ] * 2
+            assert [t.dump_text() for t in frontend._tables] == [text] * 2
             new_boundary = frontend.boundary("dar1")
             with _frontend(classes, qos) as fresh:
                 assert new_boundary < fresh.boundary("dar1")

@@ -156,6 +156,19 @@ class TestLoadJournal:
         with pytest.raises(JournalError, match="version"):
             load_journal(path, FP)
 
+    def test_previous_snapshot_layout_refused(self, tmp_path):
+        # Version 1 snapshots kept the decision counts on the replay
+        # lane, not in the engine's state; such a journal must be
+        # refused, not half-restored.
+        assert JOURNAL_VERSION == 2
+        path = tmp_path / "j.jsonl"
+        header = encode_line(
+            {"type": "header", "version": 1, "fingerprint": FP, "attempt": 0}
+        )
+        path.write_text(header + "\n")
+        with pytest.raises(JournalError, match="version"):
+            load_journal(path, FP)
+
     def test_unknown_event_kind_refused(self, tmp_path):
         path = tmp_path / "j.jsonl"
         write_journal(path, [(0, "x")])

@@ -40,19 +40,16 @@ class TestAdmissionQueue:
         assert queue.offer(0.0)
         assert queue.offer(0.0)
         assert not queue.offer(0.0)  # both slots busy until t=10/20
-        assert queue.shed_total == 1
 
     def test_drains_completions(self):
         queue = AdmissionQueue(max_depth=1, decision_seconds=5.0)
         assert queue.offer(0.0)
         assert not queue.offer(1.0)
         assert queue.offer(6.0)  # the t=5 completion freed the slot
-        assert queue.shed_total == 1
 
     def test_zero_decision_time_never_sheds(self):
         queue = AdmissionQueue(max_depth=1, decision_seconds=0.0)
         assert all(queue.offer(0.0) for _ in range(100))
-        assert queue.shed_total == 0
 
     def test_state_roundtrip_exact(self):
         queue = AdmissionQueue(max_depth=4, decision_seconds=0.3)
@@ -130,31 +127,32 @@ class TestCircuitBreaker:
 class TestEngineOverload:
     CAPACITY = 30 * 538.0
 
-    def engine(self, policy=None, tables=None):
+    def engine(self, qos, policy=None, tables=None):
         return AdmissionEngine(
-            policy="bahadur-rao",
+            "l",
+            self.CAPACITY,
+            qos,
             tables=tables if tables is not None else DecisionTableCache(),
             overload=policy,
         )
 
     def test_shed_decision_shape(self, model, qos):
         engine = self.engine(
-            OverloadPolicy(max_queue_depth=1, decision_seconds=100.0)
+            qos, OverloadPolicy(max_queue_depth=1, decision_seconds=100.0)
         )
-        engine.add_link("l", self.CAPACITY, qos)
-        first = engine.admit("l", model, "c0", now=0.0)
+        first = engine.admit(model, "c0", now=0.0)
         assert first.admitted
-        shed = engine.admit("l", model, "c1", now=1.0)
+        shed = engine.admit(model, "c1", now=1.0)
         assert not shed.admitted
         assert shed.reason == REASON_SHED
         assert shed.effective_bandwidth is None
         # A shed request never touched the link.
-        assert engine.link("l").occupancy == 1
+        assert engine.occupancy == 1
+        assert (engine.admitted, engine.shed) == (1, 1)
 
     def test_no_overload_policy_keeps_legacy_path(self, model, qos):
-        engine = self.engine()
-        engine.add_link("l", self.CAPACITY, qos)
-        decision = engine.admit("l", model, "c0")
+        engine = self.engine(qos)
+        decision = engine.admit(model, "c0")
         assert decision.admitted
         assert not decision.fallback
 
@@ -162,32 +160,33 @@ class TestEngineOverload:
         tables = DecisionTableCache()
         faulty = FaultyDecisionTables(tables, {1, 2}, "bahadur-rao")
         engine = self.engine(
-            OverloadPolicy(breaker_cooldown=2), tables=faulty
+            qos, OverloadPolicy(breaker_cooldown=2), tables=faulty
         )
-        engine.add_link("l", self.CAPACITY, qos)
-        ok = engine.admit("l", model, "c0", now=0.0)
+        ok = engine.admit(model, "c0", now=0.0)
         assert not ok.fallback
 
         faulty.current_request = 1
-        fb = engine.admit("l", model, "c1", now=1.0)
+        fb = engine.admit(model, "c1", now=1.0)
         assert fb.fallback
         assert engine.overload.breaker.state == BREAKER_OPEN
-        assert engine.overload.fallback_total == 1
+        assert engine.fallbacks == 1
 
         # While open, the primary is skipped entirely — request 2's
         # injected fault never fires because nothing consults it.
         faulty.current_request = 2
-        fb2 = engine.admit("l", model, "c2", now=2.0)
+        fb2 = engine.admit(model, "c2", now=2.0)
         assert fb2.fallback
-        fb3 = engine.admit("l", model, "c3", now=3.0)
+        fb3 = engine.admit(model, "c3", now=3.0)
         assert fb3.fallback  # second cooldown request; now HALF_OPEN
 
         # Cooldown spent; the probe succeeds and the breaker closes.
         faulty.current_request = 4
-        probe = engine.admit("l", model, "c4", now=4.0)
+        probe = engine.admit(model, "c4", now=4.0)
         assert not probe.fallback
         assert engine.overload.breaker.state == BREAKER_CLOSED
         assert engine.overload.breaker.recoveries == 1
+        # A fallback decision is also an admitted (or blocked) one.
+        assert (engine.admitted, engine.fallbacks) == (5, 3)
 
     def test_fallback_admits_fewer_than_primary(self, model, qos):
         # Peak-rate is the zero-risk policy: its admissible count is
@@ -208,7 +207,6 @@ class TestEngineOverload:
         state = OverloadState(policy)
         state.queue.offer(0.0)
         state.breaker.record_failure()
-        state.fallback_total = 7
         twin = OverloadState(policy)
         twin.restore_state(state.state_dict())
         assert twin.state_dict() == state.state_dict()
@@ -220,3 +218,12 @@ class TestEngineOverload:
             OverloadPolicy(decision_seconds=-0.5)
         with pytest.raises(ParameterError):
             OverloadPolicy(breaker_cooldown=0)
+
+    def test_unknown_fallback_method_rejected_at_construction(self):
+        # The breaker exists to absorb lookup failures; a fallback it
+        # cannot serve must fail when the policy is built, not at the
+        # first fallback decision.
+        with pytest.raises(ParameterError, match="fallback_method"):
+            OverloadPolicy(fallback_method="nope")
+        for method in ("peak-rate", "mean-rate", "effective-bandwidth"):
+            assert OverloadPolicy(fallback_method=method)

@@ -43,20 +43,21 @@ def _registry():
     return {d["name"]: d for d in obs.metrics.snapshot()}
 
 
-def _drive_by_hand(engine, model, link_ids, n_requests):
-    """Admit a deterministic stream (releasing every third admitted
-    connection) and return the decisions and the release count."""
+def _drive_by_hand(engines, model, n_requests):
+    """Admit a deterministic stream round-robin over ``engines``
+    (releasing every third admitted connection) and return the
+    decisions and the release count."""
     decisions = []
     released = 0
-    admitted = {link_id: [] for link_id in link_ids}
+    admitted = {engine.link_id: [] for engine in engines}
     for i in range(n_requests):
-        link_id = link_ids[i % len(link_ids)]
-        decision = engine.admit(link_id, model, f"c{i}", now=i * 0.25)
+        engine = engines[i % len(engines)]
+        decision = engine.admit(model, f"c{i}", now=i * 0.25)
         decisions.append(decision)
         if decision.admitted:
-            admitted[link_id].append(f"c{i}")
-        if i % 3 == 2 and admitted[link_id]:
-            engine.release(link_id, admitted[link_id].pop(0))
+            admitted[engine.link_id].append(f"c{i}")
+        if i % 3 == 2 and admitted[engine.link_id]:
+            engine.release(admitted[engine.link_id].pop(0))
             released += 1
     return decisions, released
 
@@ -67,19 +68,24 @@ class TestRecorderMatchesReference:
     ):
         # A tiny fold size exercises many latency folds.
         monkeypatch.setattr(service_telemetry, "LATENCY_FOLD", 7)
-        engine = AdmissionEngine(
-            policy="bahadur-rao",
-            overload=OverloadPolicy(
-                max_queue_depth=2, decision_seconds=0.6
-            ),
-        )
+        # Two links, one engine each, sharing one table cache.
+        tables = DecisionTableCache()
         link_ids = ["east", "west"]
-        for link_id in link_ids:
-            engine.add_link(link_id, CAPACITY, qos)
-        decisions, released = _drive_by_hand(
-            engine, model, link_ids, 1_500
-        )
-        engine.flush_telemetry()
+        engines = [
+            AdmissionEngine(
+                link_id,
+                CAPACITY,
+                qos,
+                tables=tables,
+                overload=OverloadPolicy(
+                    max_queue_depth=2, decision_seconds=0.6
+                ),
+            )
+            for link_id in link_ids
+        ]
+        decisions, released = _drive_by_hand(engines, model, 1_500)
+        for engine in engines:
+            engine.flush_telemetry()
 
         shed = [d for d in decisions if d.reason == REASON_SHED]
         decided = [d for d in decisions if d.reason != REASON_SHED]
@@ -120,30 +126,28 @@ class TestRecorderMatchesReference:
         assert registry["service.admit_latency_ns"]["count"] == len(decided)
 
     def test_latency_buffer_stays_bounded(self, enabled, qos, model):
-        engine = AdmissionEngine(policy="bahadur-rao")
-        link = engine.add_link("l", CAPACITY, qos)
+        engine = AdmissionEngine("l", CAPACITY, qos)
         n = 2 * service_telemetry.LATENCY_FOLD + 5
         for i in range(n):
-            engine.admit("l", model, f"c{i}")
-            if link.occupancy > 10:
-                engine.release("l", next(iter(link.connections)))
-            assert len(link.recorder.latencies) < (
+            engine.admit(model, f"c{i}")
+            if engine.occupancy > 10:
+                engine.release(next(iter(engine.connections)))
+            assert len(engine.recorder.latencies) < (
                 service_telemetry.LATENCY_FOLD
             )
-        assert link.recorder.latency.count + len(
-            link.recorder.latencies
+        assert engine.recorder.latency.count + len(
+            engine.recorder.latencies
         ) == n
 
     def test_flush_publishes_each_decision_once(self, enabled, qos, model):
-        engine = AdmissionEngine(policy="bahadur-rao")
-        engine.add_link("l", CAPACITY, qos)
+        engine = AdmissionEngine("l", CAPACITY, qos)
         for i in range(5):
-            engine.admit("l", model, f"c{i}")
+            engine.admit(model, f"c{i}")
         engine.flush_telemetry()
         first = obs.metrics.snapshot()
         engine.flush_telemetry()
         assert obs.metrics.snapshot() == first
-        engine.admit("l", model, "c5")
+        engine.admit(model, "c5")
         engine.flush_telemetry()
         counters = {
             d["name"]: d["value"]
@@ -156,13 +160,12 @@ class TestRecorderMatchesReference:
     def test_shared_cache_publishes_hits_once(self, enabled, qos, model):
         tables = DecisionTableCache()
         engines = [
-            AdmissionEngine(policy="bahadur-rao", tables=tables)
-            for _ in range(2)
+            AdmissionEngine(f"l{index}", CAPACITY, qos, tables=tables)
+            for index in range(2)
         ]
-        for index, engine in enumerate(engines):
-            engine.add_link(f"l{index}", CAPACITY, qos)
+        for engine in engines:
             for i in range(4):
-                engine.admit(f"l{index}", model, f"c{i}")
+                engine.admit(model, f"c{i}")
         for engine in engines:
             engine.flush_telemetry()
         counters = {
@@ -174,12 +177,11 @@ class TestRecorderMatchesReference:
 
     def test_disabled_records_and_publishes_nothing(self, qos, model):
         obs.reset()
-        engine = AdmissionEngine(policy="bahadur-rao")
-        link = engine.add_link("l", CAPACITY, qos)
+        engine = AdmissionEngine("l", CAPACITY, qos)
         for i in range(5):
-            engine.admit("l", model, f"c{i}")
-        engine.release("l", "c0")
-        assert link.recorder.admitted == link.recorder.released == 0
+            engine.admit(model, f"c{i}")
+        engine.release("c0")
+        assert engine.recorder.admitted == engine.recorder.released == 0
         engine.flush_telemetry()
         assert obs.metrics.snapshot() == []
         # Hits made while disabled are not published later either.
