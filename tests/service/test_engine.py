@@ -1,5 +1,7 @@
 """Tests for the event-driven admission engine."""
 
+import json
+
 import pytest
 
 from repro.atm.qos import QoSRequirement
@@ -272,7 +274,8 @@ class TestStateTransport:
             tables=tables,
             overload=engine.overload.policy,
         )
-        twin.restore_state(engine.export_state())
+        # Through JSON, as a journal snapshot travels.
+        twin.restore_state(json.loads(json.dumps(engine.export_state())))
         assert self._state(twin) == self._state(engine)
         assert twin.export_state() == engine.export_state()
 
@@ -283,13 +286,3 @@ class TestStateTransport:
                 engine.admit(dar1_fit, f"c{i}", now=i * 0.4)
             )
         assert self._state(twin) == self._state(engine)
-
-    def test_state_is_plain_json_with_hex_floats(self, qos, dar1_fit):
-        import json
-
-        engine, _ = self._busy_engine(qos, dar1_fit)
-        state = engine.export_state()
-        assert json.loads(json.dumps(state)) == state
-        assert float.fromhex(state["admitted_mean_load"]) == (
-            engine.admitted_mean_load
-        )

@@ -300,27 +300,17 @@ class TestFrontendServer:
                     reader, writer = await asyncio.open_connection(
                         server.host, server.port
                     )
-                    answers = []
-                    for now in (float("nan"), float("inf")):
-                        answers.append(
-                            await self._roundtrip(
-                                reader,
-                                writer,
-                                {"op": "admit", "link": "link-0",
-                                 "class": "dar1", "conn": "bad",
-                                 "now": now},
-                            )
+                    requests = [("bad", float("nan")), ("bad", float("inf"))]
+                    requests += [(f"c{t}", float(t)) for t in range(10, 16)]
+                    answers = [
+                        await self._roundtrip(
+                            reader,
+                            writer,
+                            {"op": "admit", "link": "link-0",
+                             "class": "dar1", "conn": conn, "now": now},
                         )
-                    for t in range(10, 16):
-                        answers.append(
-                            await self._roundtrip(
-                                reader,
-                                writer,
-                                {"op": "admit", "link": "link-0",
-                                 "class": "dar1", "conn": f"c{t}",
-                                 "now": float(t)},
-                            )
-                        )
+                        for conn, now in requests
+                    ]
                     writer.close()
                     await writer.wait_closed()
                     return answers
@@ -662,8 +652,7 @@ class TestServerStop:
         # Stopping after 0-11 loop steps of a client's connect lands in
         # each phase of the accept.  In every phase the client is
         # refused or reads EOF within a second, and no handler task is
-        # left running (Python 3.12.1's wait_closed would wait on an
-        # accepted socket nobody closed).
+        # left running.
         async def scenario():
             left_running = []
             outcomes = []
