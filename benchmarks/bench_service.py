@@ -17,6 +17,16 @@ A second pair of rows (experiment ``service_replay_telemetry``) times
 one link's 40k-request ``replay_link`` serially with telemetry off and
 on, alternating, five rounds each, and records ``telemetry`` on the
 row: the cost of leaving observability on, as a ledger number.
+
+A third pair (experiment ``service_replay_load``, ``layer:
+"replay"``) times serial ``replay_workload`` at two loads, five
+rounds each, from a warmed table file: 4 ``conference`` links (N =
+144) x 5000 requests at rho 0.6, perfbench ``replay``'s size, which
+never reaches the boundary, and 4 ``video`` links (N = 27) x 5000 at
+rho 1.2, pinned to it.  Under a count policy the first is committed
+in chunks below the boundary and the second is mostly decided one
+request at a time (``repro.service.kernel``).  They are serial rows
+only, so the jobs-scaling gate never pairs them.
 """
 
 import os
@@ -33,8 +43,11 @@ from repro.obs.timings import append_timing_row, percentiles_from_rounds
 from repro.atm.qos import QoSRequirement
 from repro.models import make_s
 from repro.parallel import warm_pool
+from repro.service import DecisionTableCache, derive_arrival_rate
+from repro.service.cli import build_class
 from repro.service.replay import replay_link, replay_workload
 from repro.service.workload import ConnectionClass, WorkloadSpec
+from repro.utils.units import mbps_to_cells_per_frame
 
 N_REQUESTS = 20_000
 N_LINKS = 2
@@ -42,6 +55,10 @@ REPLAY_ROUNDS = 5
 CAPACITY = 30 * 538.0
 TELEMETRY_REQUESTS = 40_000
 TELEMETRY_ROUNDS = 5
+LOAD_LINKS = 4
+LOAD_REQUESTS = 5000
+LOAD_ROUNDS = 5
+HOLDING_SECONDS = 90.0
 
 
 def _classes_and_qos():
@@ -192,3 +209,66 @@ def test_service_replay_telemetry(benchmark):
         }
         record.update(percentiles_from_rounds(sorted(rounds)))
         append_timing_row(TIMINGS_PATH, record)
+
+
+@pytest.mark.parametrize("class_name,rho", [("conference", 0.6), ("video", 1.2)])
+def test_service_replay_load(benchmark, tmp_path, class_name, rho):
+    classes = (build_class(class_name),)
+    capacity = mbps_to_cells_per_frame(155.52)
+    qos = QoSRequirement(max_delay_seconds=0.020, max_clr=1e-6)
+    table_path = tmp_path / "tables.jsonl"
+    admissible = (
+        DecisionTableCache(path=table_path)
+        .lookup(classes[0].model, capacity, qos, "bahadur-rao")
+        .admissible
+    )
+    spec = WorkloadSpec(
+        n_requests=LOAD_REQUESTS,
+        arrival_rate=derive_arrival_rate(rho, admissible, HOLDING_SECONDS),
+        mean_holding_time=HOLDING_SECONDS,
+    )
+
+    def replay():
+        return replay_workload(
+            spec,
+            classes,
+            n_links=LOAD_LINKS,
+            capacity=capacity,
+            qos=qos,
+            policy="bahadur-rao",
+            rng=20260806,
+            table_path=table_path,
+        )
+
+    summary = benchmark.pedantic(
+        replay, rounds=LOAD_ROUNDS, iterations=1, warmup_rounds=1
+    )
+    assert summary.boundary_violations == 0
+    stats = benchmark.stats.stats
+    requests_per_s = summary.n_requests / stats.median
+    print(
+        f"\nservice replay, {LOAD_LINKS} {class_name} links (N = "
+        f"{admissible}) at rho {rho}: {summary.n_requests} requests, "
+        f"median {stats.median:.3f}s = {requests_per_s:,.0f} req/s, "
+        f"P(block) {summary.blocking_probability:.4f}"
+    )
+
+    RESULTS_DIR.mkdir(exist_ok=True)
+    record = {
+        "experiment": "service_replay_load",
+        "scale": f"{class_name}{LOAD_LINKS}x{LOAD_REQUESTS}@rho{rho}",
+        "rounds": LOAD_ROUNDS,
+        "jobs": 1,
+        "mean_s": stats.mean,
+        "min_s": stats.min,
+        "max_s": stats.max,
+        "stddev_s": stats.stddev,
+        "requests": summary.n_requests,
+        "requests_per_s": requests_per_s,
+        "blocking_probability": summary.blocking_probability,
+        "cpu_count": os.cpu_count(),
+        "telemetry": "on" if obs.is_enabled() else "off",
+        "layer": "replay",
+    }
+    record.update(percentiles_from_rounds(stats.sorted_data))
+    append_timing_row(TIMINGS_PATH, record)

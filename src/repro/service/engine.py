@@ -39,9 +39,12 @@ pays one flag read per admit and per release.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
+
+import numpy as np
 
 from repro.atm.cac import PEAK_SIGMA
 from repro.atm.qos import QoSRequirement
@@ -262,7 +265,8 @@ class AdmissionEngine:
 
         ``now`` is the request's arrival time on the workload clock;
         with an overload policy configured it drives the bounded
-        decision queue (omitted, nothing is ever shed).
+        decision queue (omitted, nothing is ever shed) and must be
+        finite (:class:`~repro.exceptions.ParameterError` otherwise).
         ``force_fallback`` serves the decision from the fallback
         policy unconditionally — journal recovery uses it to re-apply
         a decision that was originally made while the breaker was
@@ -277,26 +281,30 @@ class AdmissionEngine:
                 f"link {self.link_id!r}"
             )
         overload = self.overload
-        if (
-            overload is not None
-            and now is not None
-            and not overload.queue.offer(float(now))
-        ):
-            # Shed before any table work: overload protection must not
-            # cost a lookup per rejected request.
-            self.shed += 1
-            if enabled:
-                self.recorder.shed_at(len(connections))
-            return AdmissionDecision(
-                admitted=False,
-                link_id=self.link_id,
-                connection_id=connection_id,
-                policy=self.policy,
-                reason=REASON_SHED,
-                admissible=-1,
-                occupancy=len(connections),
-                effective_bandwidth=None,
-            )
+        if overload is not None and now is not None:
+            now = float(now)
+            if not math.isfinite(now):
+                # A NaN or infinite clock would stick in the queue's
+                # completion times and shed every later request.
+                raise ParameterError(
+                    f"admit time must be finite, got {now!r}"
+                )
+            if not overload.queue.offer(now):
+                # Shed before any table work: overload protection must
+                # not cost a lookup per rejected request.
+                self.shed += 1
+                if enabled:
+                    self.recorder.shed_at(len(connections))
+                return AdmissionDecision(
+                    admitted=False,
+                    link_id=self.link_id,
+                    connection_id=connection_id,
+                    policy=self.policy,
+                    reason=REASON_SHED,
+                    admissible=-1,
+                    occupancy=len(connections),
+                    effective_bandwidth=None,
+                )
 
         decision = None
         fallback = bool(force_fallback)
@@ -368,12 +376,7 @@ class AdmissionEngine:
             admitted = self.admitted_bandwidth + bandwidth <= self.capacity
         else:
             if class_counts and fingerprint not in class_counts:
-                raise ParameterError(
-                    f"link {self.link_id!r} carries class "
-                    f"{next(iter(class_counts))} but policy "
-                    f"{self.policy!r} is homogeneous-only; use the "
-                    f"{EFFECTIVE_BANDWIDTH_METHOD!r} policy for mixes"
-                )
+                raise self._mix_error()
             admitted = class_counts.get(fingerprint, 0) < decision.admissible
         if admitted:
             mean = self._mean_for(model)
@@ -431,6 +434,84 @@ class AdmissionEngine:
         self.released += 1
         if _spans._ENABLED:
             self.recorder.released += 1
+
+    def commit_run(
+        self,
+        model: TrafficModel,
+        admits: np.ndarray,
+        released: Sequence[str],
+        survivors: Sequence[str],
+    ) -> np.ndarray:
+        """Apply a run of admits and releases at once; the load before each.
+
+        The batched form of the :meth:`admit` and :meth:`release` calls
+        a count-policy link makes below its boundary, for a caller that
+        has shown every admit of the run is admitted.  ``admits`` flags
+        each event in order (True: an admit of ``model``, False: a
+        release); ``released`` names the connections up before the run
+        that it releases, and ``survivors`` the run's own admits still
+        up after it, in admission order (it releases the others
+        itself).  The counts, peak, mix, table hits and carried mean
+        load end exactly as the scalar calls leave them, the load as
+        the same sequential float sum, and the carried load before each
+        event is returned.  Nothing is recorded for telemetry: callers
+        keep the scalar calls while it is on.
+        """
+        if self.policy == EFFECTIVE_BANDWIDTH_METHOD:
+            raise ParameterError(
+                f"commit_run serves count policies, not {self.policy!r}"
+            )
+        fingerprint = self._fingerprint_for(model)
+        class_counts = self.class_counts
+        if class_counts and fingerprint not in class_counts:
+            raise self._mix_error()
+        mean = self._mean_for(model)
+        # np.cumsum adds in order, as the scalar += / -= do.
+        loads = np.cumsum(
+            np.concatenate(
+                ([self.admitted_mean_load], np.where(admits, mean, -mean))
+            )
+        )
+        connections = self.connections
+        occupancy = len(connections) + np.cumsum(np.where(admits, 1, -1))
+        n_admits = int(np.count_nonzero(admits))
+        if n_admits:
+            self.peak_occupancy = max(
+                self.peak_occupancy, int(occupancy[admits].max())
+            )
+        for connection_id in released:
+            try:
+                del connections[connection_id]
+            except KeyError:
+                raise ParameterError(
+                    f"connection {connection_id!r} is not admitted on "
+                    f"link {self.link_id!r}"
+                ) from None
+        up = _Connection(
+            fingerprint=fingerprint, mean=mean, effective_bandwidth=None
+        )
+        for connection_id in survivors:
+            connections[connection_id] = up
+        if connections:
+            class_counts[fingerprint] = len(connections)
+        else:
+            class_counts.pop(fingerprint, None)
+        self.admitted_mean_load = float(loads[-1])
+        self.admitted += n_admits
+        self.released += len(admits) - n_admits
+        self.tables.count_hits(
+            self._decision_key(model, self.policy), n_admits
+        )
+        return loads[:-1]
+
+    def _mix_error(self) -> ParameterError:
+        """A count policy asked to admit a second class."""
+        return ParameterError(
+            f"link {self.link_id!r} carries class "
+            f"{next(iter(self.class_counts))} but policy "
+            f"{self.policy!r} is homogeneous-only; use the "
+            f"{EFFECTIVE_BANDWIDTH_METHOD!r} policy for mixes"
+        )
 
     def flush_telemetry(self) -> None:
         """Publish the link's recorded telemetry.

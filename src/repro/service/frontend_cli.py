@@ -159,7 +159,13 @@ def format_drive_report(report: DriveReport) -> str:
 
 async def _serve(frontend: AdmissionFrontend, host: str, port: int) -> None:
     server = FrontendServer(frontend, host=host, port=port)
-    await server.start()
+    try:
+        await server.start()
+    except OSError as exc:
+        # A busy port or an unknown address is a bad value, not a crash.
+        raise ParameterError(
+            f"cannot listen on {host}:{port}: {exc.strerror or exc}"
+        ) from None
     print(
         f"frontend listening on {server.host}:{server.port} "
         f"({frontend.stats().n_links} links, "

@@ -16,6 +16,22 @@ Sharing one step is what keeps the paths' counters equal: a drive
 link, an adaptive link with one regime and no adaptation, and a
 ``replay_link`` run on the same stream make the same decisions in
 the same order.
+
+:meth:`LinkLane.run` is ``replay_link``'s live loop when the link has
+no journal and no fault cues.  Under a count policy a link below its
+admissible N decides nothing: every request is admitted, and the
+link's state is a running count of arrivals and departures.  So while
+the headroom N - occupancy is at least :data:`HEADROOM`, on a link with
+one class, no overload policy and telemetry off, ``run`` takes a chunk
+of requests, finds in one vector pass the prefix admitted before the
+first request that would be blocked, commits it through
+:meth:`~repro.service.engine.AdmissionEngine.commit_run`, and sends
+that request through :meth:`LinkLane.step`.  Every other request, and
+every request of any other link, goes through ``step``: journaled and
+faulted replays, ``drive``, ``adaptive_replay_link``,
+effective-bandwidth mixes and telemetry-on runs.  Both paths leave
+the same state, bit for bit: the counts, the mix in its order, the
+departures (in pop order), the float accumulators and the table hits.
 """
 
 from __future__ import annotations
@@ -23,6 +39,9 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
+from repro.obs import spans as _spans
 from repro.service.engine import (
     REASON_SHED,
     AdmissionDecision,
@@ -31,7 +50,19 @@ from repro.service.engine import (
 from repro.service.tables import EFFECTIVE_BANDWIDTH_METHOD
 from repro.service.workload import Workload
 
-__all__ = ["LinkLane"]
+__all__ = ["HEADROOM", "LinkLane"]
+
+#: Headroom (admissible N - occupancy) below which :meth:`LinkLane.run`
+#: steps each request.  A chunk's first H requests are always admitted
+#: (each arrival raises the occupancy by at most one), so a chunk tried
+#: here commits at least this many; nearer the boundary a chunk's fixed
+#: cost is not repaid.
+HEADROOM = 16
+#: First and largest chunk :meth:`LinkLane.run` tries.  A chunk that is
+#: all admitted doubles the next one; one cut short shrinks it to twice
+#: the part committed.
+_FIRST_CHUNK = 64
+_MAX_CHUNK = 4096
 
 
 class LinkLane:
@@ -42,7 +73,8 @@ class LinkLane:
     per-request check against the offline boundary.  The workload
     arrays are held as Python lists: the step reads one element of
     each per request, and a list read is several times cheaper than a
-    numpy scalar read (values are identical).
+    numpy scalar read (values are identical).  :meth:`run` slices the
+    arrays themselves.
     """
 
     def __init__(
@@ -56,6 +88,8 @@ class LinkLane:
         self.holdings = workload.holding_times.tolist()
         self.labels = workload.class_indices.tolist()
         self.models = list(models)
+        self._arrival_array = np.asarray(workload.arrival_times, dtype=float)
+        self._holding_array = np.asarray(workload.holding_times, dtype=float)
         self.departures: List[Tuple[float, str]] = []
         self.boundary_violations = 0
         #: Integral of carried mean load over time (cells/frame x s).
@@ -66,6 +100,16 @@ class LinkLane:
         self._overload = engine.overload is not None
         # Only count policies have a homogeneous boundary to check.
         self._count_policy = engine.policy != EFFECTIVE_BANDWIDTH_METHOD
+        # What run() may batch: one class, no overload policy, and no
+        # NaN time (a NaN departure breaks the heap order steps pop in).
+        self._batchable = (
+            self._count_policy
+            and not self._overload
+            and len(self.models) == 1
+            and not np.any(workload.class_indices)
+            and not np.isnan(self._arrival_array).any()
+            and not np.isnan(self._holding_array).any()
+        )
 
     def step(
         self, i: int, force_fallback: bool = False
@@ -114,6 +158,128 @@ class LinkLane:
         ):
             self.boundary_violations += 1
         return kind, decision
+
+    def run(self, start: int, stop: int) -> None:
+        """Process requests ``start`` to ``stop - 1``, as many steps would.
+
+        Requests the link admits below its boundary go in chunks (see
+        the module docstring); the rest, and every request of a link
+        that cannot batch, through :meth:`step`.  The lane and engine
+        end in the state the steps leave.
+        """
+        step = self.step
+        if not self._batchable:
+            for i in range(start, stop):
+                step(i)
+            return
+        engine = self.engine
+        connections = engine.connections
+        decision = engine.tables.peek(
+            self.models[0], engine.capacity, engine.qos, engine.policy
+        )
+        # The boundary of the last decision seen (-1: none yet).
+        admissible = -1 if decision is None else decision.admissible
+        chunk = _FIRST_CHUNK
+        i = start
+        while i < stop:
+            if (
+                len(connections) + HEADROOM <= admissible
+                and not _spans._ENABLED
+            ):
+                end = min(i + chunk, stop)
+                committed = self._commit(i, end, admissible)
+                i += committed
+                if i == end:
+                    chunk = min(2 * chunk, _MAX_CHUNK)
+                    continue
+                chunk = max(2 * committed, HEADROOM)
+            _, decision = step(i)
+            admissible = decision.admissible
+            i += 1
+
+    def _commit(self, start: int, stop: int, admissible: int) -> int:
+        """Commit requests ``start``... admitted before the boundary.
+
+        Every request of ``start`` to ``stop - 1`` is assumed admitted,
+        which holds up to the first one that finds ``admissible``
+        connections up; the part before it is committed in one pass
+        and its length returned.  The chunk is also cut at the first
+        request that departs no later than it arrives or arrives before
+        the previous event, whose order the pass cannot reproduce.
+        """
+        arrivals = self._arrival_array[start:stop]
+        departs = arrivals + self._holding_array[start:stop]
+        bad = (departs <= arrivals) | (
+            np.diff(arrivals, prepend=self.last_event_time) < 0
+        )
+        if bad.any():
+            cut = int(bad.argmax())
+            arrivals = arrivals[:cut]
+            departs = departs[:cut]
+        if arrivals.size == 0:
+            return 0
+
+        # A sorted list is a heap, so the lane keeps it sorted here.
+        heap = self.departures
+        heap.sort()
+        heap_times = np.array([t for t, _ in heap], dtype=float)
+        engine = self.engine
+        up = len(engine.connections)
+        # Occupancy before each arrival if every earlier one was
+        # admitted: departures are drained at the first arrival at or
+        # after them, and a request's own departure is after it.
+        occupancy = (
+            up
+            + np.arange(arrivals.size)
+            - np.searchsorted(heap_times, arrivals, side="right")
+            - np.searchsorted(np.sort(departs), arrivals, side="right")
+        )
+        blocked = occupancy >= admissible
+        if blocked.any():
+            n = int(blocked.argmax())
+            if n == 0:
+                return 0
+            arrivals = arrivals[:n]
+            departs = departs[:n]
+        n = arrivals.size
+        last = arrivals[-1]
+
+        # The events in the steps' order: by time, a departure before
+        # an arrival at the same time.
+        n_old = int(np.searchsorted(heap_times, last, side="right"))
+        gone = departs <= last
+        departures = np.sort(
+            np.concatenate((heap_times[:n_old], departs[gone]))
+        )
+        admits = np.zeros(n + departures.size, dtype=bool)
+        admits[
+            np.arange(n) + np.searchsorted(departures, arrivals, side="right")
+        ] = True
+        times = np.empty(admits.size)
+        times[admits] = arrivals
+        times[~admits] = departures
+
+        kept = np.flatnonzero(~gone)
+        survivors = [f"c{j}" for j in (kept + start).tolist()]
+        loads = engine.commit_run(
+            self.models[0],
+            admits,
+            [connection_id for _, connection_id in heap[:n_old]],
+            survivors,
+        )
+        steps = np.empty(admits.size + 1)
+        steps[0] = self.carried_load_seconds
+        steps[1:] = np.diff(times, prepend=self.last_event_time)
+        steps[1:] *= loads
+        self.carried_load_seconds = float(np.cumsum(steps)[-1])
+        self.last_event_time = float(last)
+        del heap[:n_old]
+        heap.extend(zip(departs[kept].tolist(), survivors))
+        heap.sort()
+        # The occupancy the pass predicts must be the engine's.
+        if len(engine.connections) != up + n - departures.size:
+            self.boundary_violations += 1
+        return n
 
     # -- exact state transport (journal snapshots) ---------------------------
 

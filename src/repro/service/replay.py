@@ -232,7 +232,11 @@ def replay_link(
     :meth:`~repro.service.kernel.LinkLane.step` — departures drained
     from a heap, the carried-load integral updated at every state
     change, the decision checked against the offline boundary — the
-    step a ``drive`` shard and ``adaptive_replay_link`` run too.  The
+    step a ``drive`` shard and ``adaptive_replay_link`` run too.
+    Without a journal or fault cues the loop is
+    :meth:`~repro.service.kernel.LinkLane.run`, which commits the
+    requests a count-policy link admits below its boundary in chunks
+    and leaves the state the steps would.  The
     engine and its decision-table cache are private to the link, so a
     link's statistics do not depend on what other links (or
     processes) did — the bit-identity contract.
@@ -337,6 +341,9 @@ def replay_link(
     live_step = (
         step if journal is None and faulty_tables is None else journaled_step
     )
+    # No journal and no cues: nothing needs each request alone, so the
+    # lane may batch the ones the link admits below its boundary.
+    batched = journal is None and cues.empty
     start = 0
     try:
         with span(
@@ -360,15 +367,18 @@ def replay_link(
                         "service.journal.events_reapplied",
                         len(recovery.events),
                     )
-            for i in range(start, workload.n_requests):
-                if cues.hang is not None and cues.hang[0] == i:
-                    time.sleep(cues.hang[1])
-                if cues.crash_request == i:
-                    raise InjectedCrash(
-                        f"injected shard crash before request {i} on "
-                        f"link {link_index} attempt {attempt}"
-                    )
-                live_step(i)
+            if batched:
+                lane.run(start, workload.n_requests)
+            else:
+                for i in range(start, workload.n_requests):
+                    if cues.hang is not None and cues.hang[0] == i:
+                        time.sleep(cues.hang[1])
+                    if cues.crash_request == i:
+                        raise InjectedCrash(
+                            f"injected shard crash before request {i} on "
+                            f"link {link_index} attempt {attempt}"
+                        )
+                    live_step(i)
     finally:
         if journal is not None:
             journal.close()

@@ -377,6 +377,18 @@ class DecisionTableCache:
             self._persist(decision)
         return decision
 
+    def count_hits(self, key: str, n: int) -> None:
+        """Count ``n`` lookups of the cached ``key``, as ``n`` hits would.
+
+        A batched run of requests decided against one cached decision
+        (:meth:`~repro.service.engine.AdmissionEngine.commit_run`)
+        accounts for its per-request lookups here in one call: the
+        same hit count and LRU position as ``n`` :meth:`lookup` calls.
+        """
+        with self._lock:
+            self._entries.move_to_end(key)
+            self.hits += n
+
     def publish_hits(self) -> None:
         """Add the hits since the last publish to ``service.table_hits``.
 

@@ -2,6 +2,7 @@
 
 import json
 import re
+import socket
 
 import pytest
 
@@ -98,6 +99,25 @@ class TestParser:
         assert excinfo.value.code == 2
         # Refused before the table header, and before any drive work.
         assert capsys.readouterr().out == ""
+
+
+class TestServeVerb:
+    def test_busy_port_is_a_usage_error(self, capsys):
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen(1)
+            port = busy.getsockname()[1]
+            with pytest.raises(SystemExit) as excinfo:
+                main(["serve", "--port", str(port), "--links", "1",
+                      "--class", "dar1"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert re.search(
+            rf"error: cannot listen on 127\.0\.0\.1:{port}: .*in use",
+            captured.err.splitlines()[-1],
+        )
 
 
 class TestDriveVerb:

@@ -150,6 +150,23 @@ class TestEngineOverload:
         assert engine.occupancy == 1
         assert (engine.admitted, engine.shed) == (1, 1)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_now_rejected_before_the_queue(self, model, qos, bad):
+        engine = self.engine(
+            qos, OverloadPolicy(max_queue_depth=4, decision_seconds=0.001)
+        )
+        with pytest.raises(ParameterError, match="finite"):
+            engine.admit(model, "bad", now=bad)
+        # The queue is untouched: four requests at one instant fill its
+        # depth and only the rest are shed.
+        decisions = [
+            engine.admit(model, f"c{i}", now=10.0) for i in range(6)
+        ]
+        assert [d.reason == REASON_SHED for d in decisions] == [
+            False, False, False, False, True, True
+        ]
+        assert (engine.admitted, engine.shed) == (4, 2)
+
     def test_no_overload_policy_keeps_legacy_path(self, model, qos):
         engine = self.engine(qos)
         decision = engine.admit(model, "c0")

@@ -245,6 +245,40 @@ class TestTelemetry:
             obs.reset()
             obs.disable()
 
+    def test_one_latency_sample_per_admit_below_the_boundary(
+        self, classes, qos
+    ):
+        """With telemetry on, a link far below its boundary still
+        steps: no admit goes unrecorded by a batched commit."""
+        from repro import obs
+
+        spec = WorkloadSpec(
+            n_requests=2000, arrival_rate=0.1, mean_holding_time=90.0
+        )
+        obs.enable()
+        try:
+            obs.reset()
+            stats = replay_link(
+                spec,
+                classes,
+                capacity=CAPACITY,
+                qos=qos,
+                policy="bahadur-rao",
+                rng=5,
+            )
+            registry = {d["name"]: d for d in obs.metrics.snapshot()}
+        finally:
+            obs.reset()
+            obs.disable()
+        assert stats.blocked == 0
+        assert stats.admitted == stats.n_requests
+        assert registry["service.admit_latency_ns"]["count"] == (
+            stats.n_requests
+        )
+        assert registry["service.occupancy.link-0"]["count"] == (
+            stats.n_requests
+        )
+
     @staticmethod
     def _deterministic_metrics():
         """Canonical JSON of the order-independent telemetry subset.
