@@ -198,7 +198,7 @@ class LinkLane:
             i += 1
 
     def _commit(self, start: int, stop: int, admissible: int) -> int:
-        """Commit requests ``start``... admitted before the boundary.
+        """Commit the requests from ``start`` the link admits; how many.
 
         Every request of ``start`` to ``stop - 1`` is assumed admitted,
         which holds up to the first one that finds ``admissible``

@@ -292,12 +292,12 @@ class TestRunMatchesStep:
         workload = generate_workload(
             spec, [build_class("conference")], np.random.default_rng(SEED)
         )
-        lane = _lane(workload, "bahadur-rao", 144)
-        engine = lane.engine
+        engine = _lane(workload, "bahadur-rao", 144).engine
         calls = []
         engine.admit = lambda *a, **k: calls.append("admit")
         engine.release = lambda *a, **k: calls.append("release")
-        lane = LinkLane(engine, workload, lane.models)
+        # A lane binds admit and release when it is built.
+        lane = LinkLane(engine, workload, [build_class("conference").model])
         lane.run(0, workload.n_requests)
         assert calls == []
         stepped = _stepped(workload, "bahadur-rao", 144)
