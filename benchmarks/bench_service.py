@@ -211,7 +211,9 @@ def test_service_replay_telemetry(benchmark):
         append_timing_row(TIMINGS_PATH, record)
 
 
-@pytest.mark.parametrize("class_name,rho", [("conference", 0.6), ("video", 1.2)])
+@pytest.mark.parametrize(
+    "class_name,rho", [("conference", 0.6), ("video", 1.2)]
+)
 def test_service_replay_load(benchmark, tmp_path, class_name, rho):
     classes = (build_class(class_name),)
     capacity = mbps_to_cells_per_frame(155.52)

@@ -49,6 +49,7 @@ from repro.utils.units import mbps_to_cells_per_frame
 CAPACITY = mbps_to_cells_per_frame(155.52)
 QOS = QoSRequirement(max_delay_seconds=0.020, max_clr=1e-6)
 SEED = 20260806
+HOLDING_SECONDS = 90.0
 
 
 class TestAdaptiveMatchesReplay:
@@ -142,10 +143,6 @@ class TestDriveMatchesReplayUnderShedding:
         assert point.boundary_violations == 0
         # The policy really sheds, so shed accounting is compared.
         assert point.shed > 0
-
-
-
-HOLDING_SECONDS = 90.0
 
 
 def _lane(workload, policy, admissible):

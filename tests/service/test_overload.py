@@ -150,7 +150,9 @@ class TestEngineOverload:
         assert engine.occupancy == 1
         assert (engine.admitted, engine.shed) == (1, 1)
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), -float("inf")]
+    )
     def test_non_finite_now_rejected_before_the_queue(self, model, qos, bad):
         engine = self.engine(
             qos, OverloadPolicy(max_queue_depth=4, decision_seconds=0.001)
