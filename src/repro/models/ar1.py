@@ -13,7 +13,6 @@ matters in the analysis.
 from __future__ import annotations
 
 import numpy as np
-from scipy import signal
 
 from repro.constants import FRAME_DURATION
 from repro.core.variance_time import geometric_variance_time
@@ -70,6 +69,8 @@ class AR1Model(TrafficModel):
         noise = generator.standard_normal(n_frames) * noise_std
         # Exact stationary start, then the recursion via an IIR filter.
         x0 = generator.standard_normal() * np.sqrt(self._variance)
+        from scipy import signal
+
         path = signal.lfilter(
             [1.0], [1.0, -self.phi], noise, zi=np.array([self.phi * x0])
         )[0]

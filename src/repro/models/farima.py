@@ -18,7 +18,6 @@ Sampling is exact via circulant embedding.
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
 
 from repro.constants import FRAME_DURATION
 from repro.models.base import TrafficModel, coerce_lags, stationary_gaussian_check
@@ -85,6 +84,8 @@ class FARIMAModel(TrafficModel):
         lags_int = coerce_lags(lags)
         d = self.d
         k = lags_int.astype(float)
+        from scipy import special
+
         log_r = (
             special.gammaln(k + d)
             + special.gammaln(1.0 - d)

@@ -30,7 +30,6 @@ compared on one object.
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from repro.constants import FRAME_DURATION
 from repro.exceptions import ConvergenceError, ParameterError, StabilityError
@@ -173,6 +172,8 @@ class MarkovModulatedSource(TrafficModel):
                 "capacity at or above the peak rate: overflow impossible, "
                 "theta* is unbounded"
             )
+
+        from scipy import optimize
 
         def gap(theta: float) -> float:
             return self.effective_bandwidth(theta) - c

@@ -28,7 +28,6 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy import optimize
 
 from repro.constants import (
     ALPHA_L,
@@ -219,6 +218,7 @@ def fit_l_alpha(
         np.round(np.geomspace(lag_lo, lag_hi, n_lags)).astype(int)
     )
     log_target = np.log(target.autocorrelation(lags))
+    from scipy import optimize
 
     def objective(alpha: float) -> float:
         candidate = make_l(

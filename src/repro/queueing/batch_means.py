@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.exceptions import SimulationError
 from repro.utils.validation import check_in_range, check_integer
@@ -88,6 +87,8 @@ def _summarize(
     n_batches = means.shape[0]
     grand_mean = float(means.mean())
     std_error = float(means.std(ddof=1) / math.sqrt(n_batches))
+    from scipy import stats
+
     quantile = float(stats.t.ppf(0.5 + confidence / 2.0, df=n_batches - 1))
     centered = means - grand_mean
     denominator = float(np.dot(centered, centered))

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import numpy as np
-from scipy import stats
 
 from repro.exceptions import ConvergenceError, ParameterError, StabilityError
 from repro.models.dar import DARModel
@@ -89,6 +88,8 @@ class MarkovArrivalChain:
         if model.order != 1:
             raise ParameterError("from_dar1 requires a DAR(1) model")
         n_bins = check_integer(n_bins, "n_bins", minimum=2)
+        from scipy import stats
+
         edges = stats.norm.ppf(np.linspace(0.0, 1.0, n_bins + 1))
         # Conditional means of a standard normal on each bin:
         # E[Z | a < Z < b] = (phi(a) - phi(b)) / (Phi(b) - Phi(a)).

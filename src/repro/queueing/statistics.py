@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats
 
 from repro.exceptions import SimulationError, UndefinedCIWarning
 
@@ -48,6 +47,8 @@ class ReplicatedEstimate:
         n = self.n_replications
         if n < 2:
             return math.nan
+        from scipy import stats
+
         quantile = stats.t.ppf(0.5 + self.confidence / 2.0, df=n - 1)
         return float(quantile * self.std_error)
 

@@ -100,15 +100,12 @@ class LinkLane:
         self._overload = engine.overload is not None
         # Only count policies have a homogeneous boundary to check.
         self._count_policy = engine.policy != EFFECTIVE_BANDWIDTH_METHOD
-        # What run() may batch: one class, no overload policy, and no
-        # NaN time (a NaN departure breaks the heap order steps pop in).
+        # What run() may batch: one class and no overload policy.
         self._batchable = (
             self._count_policy
             and not self._overload
             and len(self.models) == 1
             and not np.any(workload.class_indices)
-            and not np.isnan(self._arrival_array).any()
-            and not np.isnan(self._holding_array).any()
         )
 
     def step(
@@ -204,16 +201,14 @@ class LinkLane:
         which holds up to the first one that finds ``admissible``
         connections up; the part before it is committed in one pass
         and its length returned.  The chunk is also cut at the first
-        request that departs no later than it arrives or arrives before
-        the previous event, whose order the pass cannot reproduce.
+        request that departs no later than it arrives (a zero holding,
+        or one that rounds away), whose order the pass cannot reproduce.
         """
         arrivals = self._arrival_array[start:stop]
         departs = arrivals + self._holding_array[start:stop]
-        bad = (departs <= arrivals) | (
-            np.diff(arrivals, prepend=self.last_event_time) < 0
-        )
-        if bad.any():
-            cut = int(bad.argmax())
+        instant = departs <= arrivals
+        if instant.any():
+            cut = int(instant.argmax())
             arrivals = arrivals[:cut]
             departs = departs[:cut]
         if arrivals.size == 0:

@@ -109,11 +109,31 @@ class WorkloadSpec:
 
 @dataclass(frozen=True)
 class Workload:
-    """A realized request stream: when, how long, and which class."""
+    """A realized request stream: when, how long, and which class.
+
+    Arrival times are finite, non-negative and non-decreasing, and
+    holding times finite and non-negative: the replay's departure heap
+    and carried-load integral assume both, so anything else is refused
+    here rather than replayed into a wrong utilization.
+    """
 
     arrival_times: np.ndarray
     holding_times: np.ndarray
     class_indices: np.ndarray
+
+    def __post_init__(self) -> None:
+        arrivals = np.asarray(self.arrival_times, dtype=float)
+        holdings = np.asarray(self.holding_times, dtype=float)
+        _check_times(arrivals, "arrival_times")
+        _check_times(holdings, "holding_times")
+        late = np.flatnonzero(np.diff(arrivals) < 0)
+        if late.size:
+            i = int(late[0]) + 1
+            raise ParameterError(
+                f"arrival_times must be non-decreasing, got "
+                f"{float(arrivals[i])} after {float(arrivals[i - 1])} "
+                f"at index {i}"
+            )
 
     @property
     def n_requests(self) -> int:
@@ -130,6 +150,16 @@ class Workload:
         if self.arrival_times.shape[0] == 0:
             return 0.0
         return float(self.arrival_times[-1])
+
+
+def _check_times(times: np.ndarray, name: str) -> None:
+    bad = np.flatnonzero(~(np.isfinite(times) & (times >= 0)))
+    if bad.size:
+        i = int(bad[0])
+        raise ParameterError(
+            f"{name} must be finite and non-negative, got "
+            f"{float(times[i])} at index {i}"
+        )
 
 
 def holding_time_distribution(spec: WorkloadSpec) -> HeavyTailedDuration:

@@ -66,10 +66,10 @@ class TestMethodValidation:
             admissible_connections(MODELS[1], 30 * 538.0, qos, method)
 
     def test_peak_sigma_matches_quantile(self):
-        # The hoisted constant must stay the inversion of the quantile.
+        # The literal must be SciPy's inversion of the quantile to the
+        # last bit: peak-rate boundaries and the effective-bandwidth
+        # fallback charge read it, so one ulp could move a decision.
         from scipy import stats
 
-        assert PEAK_SIGMA == pytest.approx(
-            float(stats.norm.ppf(PEAK_QUANTILE))
-        )
+        assert PEAK_SIGMA == float(stats.norm.ppf(PEAK_QUANTILE))
         assert 5.0 < PEAK_SIGMA < 7.0

@@ -170,3 +170,32 @@ class TestEmptyStreamContract:
         )
         assert workload.n_requests == 0
         assert workload.horizon_seconds == 0.0
+
+
+class TestWorkloadValidation:
+    @staticmethod
+    def _workload(arrivals, holdings):
+        return Workload(
+            arrival_times=np.asarray(arrivals, dtype=float),
+            holding_times=np.asarray(holdings, dtype=float),
+            class_indices=np.zeros(len(arrivals), dtype=np.int64),
+        )
+
+    def test_ties_zero_and_negative_zero_accepted(self):
+        workload = self._workload([0.0, 1.0, 1.0, 2.0], [0.0, -0.0, 3.0, 1.0])
+        assert workload.horizon_seconds == 2.0
+
+    @pytest.mark.parametrize(
+        "arrivals, holdings, match",
+        [
+            ([0.0, -1.0], [1.0, 1.0], "arrival_times must be finite"),
+            ([0.0, np.nan], [1.0, 1.0], "arrival_times must be finite"),
+            ([0.0, np.inf], [1.0, 1.0], "arrival_times must be finite"),
+            ([2.0, 1.0], [1.0, 1.0], "2.0 at index 1"),
+            ([0.0, 1.0], [1.0, -np.inf], "holding_times must be finite"),
+            ([0.0, 1.0], [np.inf, 1.0], "got inf at index 0"),
+        ],
+    )
+    def test_bad_times_refused(self, arrivals, holdings, match):
+        with pytest.raises(ParameterError, match=match):
+            self._workload(arrivals, holdings)
