@@ -146,7 +146,8 @@ def test_adaptive_replay_throughput(benchmark):
             "scale": f"link1x{REPLAY_REQUESTS}:{REPLAY_PLAN}",
             "requests": stats_link.n_requests,
             "requests_per_s": requests_per_s,
-            "telemetry": False,
+            "telemetry": "off",
             "cpu_count": os.cpu_count(),
+            "layer": "replay",
         },
     )

@@ -15,8 +15,11 @@ jobs-2/serial ratio anywhere from 0.47x to 1.17x, past the gate's 1.1.
 
 A second pair of rows (experiment ``service_replay_telemetry``) times
 one link's 40k-request ``replay_link`` serially with telemetry off and
-on, alternating, five rounds each, and records ``telemetry`` on the
-row: the cost of leaving observability on, as a ledger number.
+on, alternating, five rounds each, and records ``telemetry``
+(``"on"``/``"off"``) and ``layer: "replay"`` on the row: the cost of
+leaving observability on, as a ledger number.  The link is offered 36
+Erlangs against N = 30, so 39,904 of its 40,000 requests step through
+``AdmissionEngine.admit`` even with telemetry off.
 
 A third pair (experiment ``service_replay_load``, ``layer:
 "replay"``) times serial ``replay_workload`` at two loads, five
@@ -204,8 +207,9 @@ def test_service_replay_telemetry(benchmark):
             "stddev_s": statistics.stdev(rounds),
             "requests": stats_link.n_requests,
             "requests_per_s": requests_per_s,
-            "telemetry": telemetry,
+            "telemetry": side,
             "cpu_count": os.cpu_count(),
+            "layer": "replay",
         }
         record.update(percentiles_from_rounds(sorted(rounds)))
         append_timing_row(TIMINGS_PATH, record)

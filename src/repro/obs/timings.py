@@ -2,17 +2,17 @@
 
 ``benchmarks/results/timings.jsonl`` accumulates one JSON line per
 benchmarked run across commits.  Schema 2 adds provenance (git SHA,
-hostname) and tail percentiles so rows from different machines and
-commits can be compared honestly; :func:`load_timings` tolerates the
-legacy schema-less rows already in the file (they load as schema 1
-with ``jobs=1`` and no provenance).
+hostname, core count) and tail percentiles so rows from different
+machines and commits can be compared honestly; :func:`load_timings`
+tolerates the legacy schema-less rows already in the file (they load
+as schema 1 with ``jobs=1`` and no provenance).
 
 Row schema (version 2)::
 
     {"schema": 2, "experiment": "service_replay", "scale": null,
      "rounds": 1, "jobs": 2, "mean_s": ..., "min_s": ..., "max_s": ...,
      "stddev_s": ..., "p50_s": ..., "p90_s": ..., "p99_s": ...,
-     "git_sha": "8140e67", "hostname": "runner-3",
+     "git_sha": "8140e67", "hostname": "runner-3", "cpu_count": 2,
      "timestamp_unix": ...}
 
 plus free-form experiment extras (``requests_per_s`` etc.), preserved
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import socket
 import subprocess
 import time
@@ -135,6 +136,7 @@ def environment_fields() -> dict:
         "schema": TIMINGS_SCHEMA,
         "git_sha": _git_sha(),
         "hostname": _hostname(),
+        "cpu_count": os.cpu_count(),
     }
 
 

@@ -39,8 +39,8 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import json
-import math
 import socket
+import sys
 import time
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -607,12 +607,16 @@ class FrontendServer:
             op = request.get("op")
             if op == "admit":
                 now = request.get("now")
-                if now is not None:
-                    now = float(now)
-                    if not math.isfinite(now):
-                        raise ParameterError(
-                            f'"now" must be a finite number, got {now!r}'
-                        )
+                # json.loads may give a bool, a string or an integer
+                # past the float range here: no clock reading (float()
+                # would take true for 1.0).
+                if now is not None and (
+                    type(now) not in (int, float)
+                    or not abs(now) <= sys.float_info.max
+                ):
+                    raise ParameterError(
+                        f'"now" must be a finite number, got {now!r}'
+                    )
                 decision = self.frontend.admit(
                     str(request["link"]),
                     str(request["class"]),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -57,7 +58,8 @@ class TestSchema:
     def test_environment_fields_shape(self):
         fields = environment_fields()
         assert fields["schema"] == TIMINGS_SCHEMA
-        assert set(fields) == {"schema", "git_sha", "hostname"}
+        assert set(fields) == {"schema", "git_sha", "hostname", "cpu_count"}
+        assert fields["cpu_count"] == os.cpu_count()
 
     def test_percentiles_from_rounds(self):
         rounds = [float(i) for i in range(1, 101)]

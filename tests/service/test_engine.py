@@ -2,15 +2,17 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from repro.atm.cac import PEAK_SIGMA
 from repro.atm.qos import QoSRequirement
 from repro.exceptions import ParameterError
 from repro.models import AR1Model, make_s
 from repro.resilience.faults import FaultyDecisionTables
-from repro.service.engine import AdmissionEngine
+from repro.service.engine import AdmissionDecision, AdmissionEngine
 from repro.service.overload import OverloadPolicy
-from repro.service.tables import DecisionTableCache
+from repro.service.tables import DecisionTableCache, model_fingerprint
 
 
 @pytest.fixture
@@ -39,6 +41,26 @@ class TestTopology:
 
     def test_decisions_name_the_engine_link(self, engine, dar1_fit):
         assert engine.admit(dar1_fit, "c0").link_id == "oc3"
+
+
+class TestAdmissionDecision:
+    def test_is_an_immutable_named_tuple(self, engine, dar1_fit):
+        decision = engine.admit(dar1_fit, "c0")
+        with pytest.raises(AttributeError):
+            decision.admitted = False
+        assert AdmissionDecision._fields == (
+            "admitted",
+            "link_id",
+            "connection_id",
+            "policy",
+            "reason",
+            "admissible",
+            "occupancy",
+            "effective_bandwidth",
+            "fallback",
+        )
+        fields = tuple(getattr(decision, f) for f in decision._fields)
+        assert decision == fields
 
 
 class TestCountPolicy:
@@ -115,6 +137,17 @@ class TestEffectiveBandwidthPolicy:
             > engine.capacity
         )
 
+    def test_fallback_admit_charges_the_peak_allocation(self, qos, dar1_fit):
+        engine = AdmissionEngine(
+            "oc3", 30 * 538.0, qos, policy="effective-bandwidth"
+        )
+        decision = engine.admit(dar1_fit, "c0", force_fallback=True)
+        charge = float(dar1_fit.mean) + float(dar1_fit.std) * PEAK_SIGMA
+        assert decision.admitted and decision.fallback
+        assert decision.effective_bandwidth == charge
+        assert engine.connections["c0"].effective_bandwidth == charge
+        assert engine.admitted_bandwidth == charge
+
     def test_release_restores_bandwidth(self, qos, dar1_fit):
         engine = AdmissionEngine(
             "oc3", 30 * 538.0, qos, policy="effective-bandwidth"
@@ -138,11 +171,11 @@ class TestSharedTables:
 
 
 class TestRecoveryCacheInvalidation:
-    """Regression: journal recovery must drop the id()-keyed caches.
+    """Regression: journal recovery must drop the id()-keyed memo.
 
-    The hot-path caches key on ``id(model)``.  After recovery swaps
-    link state wholesale, a *new* model object can land on a recycled
-    ``id()`` — a surviving cache entry would then serve decisions
+    The model memo keys on ``id(model)``.  After recovery swaps link
+    state wholesale, a *new* model object can land on a recycled
+    ``id()`` — a surviving memo entry would then serve decisions
     against the dead model's fingerprint/decision key.  The tests
     plant poisoned entries (standing in for the recycled-id hazard)
     and assert recovery purges them.
@@ -150,17 +183,16 @@ class TestRecoveryCacheInvalidation:
 
     def test_restore_state_purges_decision_caches(self, engine, dar1_fit):
         engine.admit(dar1_fit, "c0")
-        assert engine._decision_keys and engine._fingerprints
+        assert list(engine._memos) == [id(dar1_fit)]
         snapshot = engine.export_state()
 
         rogue = make_s(3, 0.950)
-        engine._fingerprints[id(rogue)] = "stale-fingerprint"
-        engine._decision_keys[(id(rogue), engine.policy)] = "stale-key"
+        stale = engine._remember(rogue)
+        stale.fingerprint = "stale-fingerprint"
+        stale.key = "stale-key"
         engine.restore_state(snapshot)
 
-        assert not engine._decision_keys
-        assert not engine._fingerprints
-        assert not engine._key_refs
+        assert not engine._memos
 
     def test_post_recovery_decisions_use_true_fingerprint(
         self, engine, qos, dar1_fit
@@ -171,19 +203,19 @@ class TestRecoveryCacheInvalidation:
         engine.admit(dar1_fit, "c0")
         snapshot = engine.export_state()
 
-        # Poison the caches for the very model recovery will re-admit
+        # Poison the memo for the very model recovery will re-admit
         # against — the worst-case recycled-id collision.
-        engine._fingerprints[id(dar1_fit)] = "stale-fingerprint"
+        engine._memos[id(dar1_fit)].fingerprint = "stale-fingerprint"
         engine.restore_state(snapshot)
 
         decision = engine.admit(dar1_fit, "c1")
         assert decision.admitted
         assert decision.admissible == boundary
         assert engine.occupancy == 2
-        # The cache re-warmed from the live object, not the poison.
-        assert (
-            engine._fingerprints.get(id(dar1_fit)) != "stale-fingerprint"
-        )
+        # The memo re-warmed from the live object, not the poison.
+        fingerprint = model_fingerprint(dar1_fit)
+        assert engine._memos[id(dar1_fit)].fingerprint == fingerprint
+        assert engine.connections["c1"].fingerprint == fingerprint
 
     def test_invalidate_is_idempotent(self, engine, dar1_fit):
         engine.invalidate_decision_caches()
@@ -206,15 +238,32 @@ class TestModelMeanMemo:
         assert all(
             c.mean == float(video.mean) for c in engine.connections.values()
         )
-        assert engine._means == {id(video): float(video.mean)}
+        (memo,) = engine._memos.values()
+        assert memo.model is video
+        assert memo.mean == float(video.mean)
 
     def test_invalidation_drops_the_memo(self, engine, dar1_fit):
         engine.admit(dar1_fit, "c0")
-        engine._means[id(dar1_fit)] = -1.0
+        poisoned = engine._memos[id(dar1_fit)]
+        poisoned.mean = -1.0
+        poisoned.connections.clear()
         engine.invalidate_decision_caches()
-        assert not engine._means
+        assert not engine._memos
         engine.admit(dar1_fit, "c1")
         assert engine.connections["c1"].mean == float(dar1_fit.mean)
+        assert engine.admitted_mean_load == 2 * float(dar1_fit.mean)
+
+    def test_admits_share_one_connection_record(self, engine, dar1_fit):
+        engine.admit(dar1_fit, "c0")
+        engine.admit(dar1_fit, "c1")
+        shared = engine.connections["c0"]
+        assert engine.connections["c1"] is shared
+        engine.commit_run(
+            dar1_fit, np.array([True, True, False]), ["c0"], ["c2", "c3"]
+        )
+        assert engine.connections["c1"] is shared
+        assert engine.connections["c2"] is shared
+        assert engine.connections["c3"] is shared
 
 
 class TestStateTransport:

@@ -290,7 +290,9 @@ class TestFrontendServer:
         # A NaN arrival time would sit in the overload queue forever:
         # admits 1 s apart at now = 10 ... 15 would then shed from the
         # fourth onward.  The server answers it with an error instead,
-        # and the connection and the queue carry on.
+        # and the connection and the queue carry on.  A bool or a
+        # string is no time either (float() would read true as 1.0),
+        # nor is an integer past the float range.
         policy = OverloadPolicy(max_queue_depth=4, decision_seconds=0.001)
 
         async def scenario():
@@ -300,7 +302,12 @@ class TestFrontendServer:
                     reader, writer = await asyncio.open_connection(
                         server.host, server.port
                     )
-                    requests = [("bad", float("nan")), ("bad", float("inf"))]
+                    requests = [
+                        ("bad", bad)
+                        for bad in (
+                            float("nan"), float("inf"), True, "5", 10**400
+                        )
+                    ]
                     requests += [(f"c{t}", float(t)) for t in range(10, 16)]
                     answers = [
                         await self._roundtrip(
@@ -318,10 +325,10 @@ class TestFrontendServer:
                     await server.stop()
 
         answers = self._run(scenario())
-        for refused in answers[:2]:
+        for refused in answers[:5]:
             assert not refused["ok"]
             assert "finite" in refused["error"]
-        assert [a["reason"] for a in answers[2:]] == ["admitted"] * 6
+        assert [a["reason"] for a in answers[5:]] == ["admitted"] * 6
 
 
 def _admit_line(link, conn, class_name="dar1"):
